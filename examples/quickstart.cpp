@@ -15,6 +15,7 @@
 #include "conv/reference.hh"
 #include "conv/workloads.hh"
 #include "exec/conv_exec.hh"
+#include "exec/microkernel.hh"
 #include "machine/machine.hh"
 #include "model/multi_level.hh"
 #include "optimizer/mopt_optimizer.hh"
@@ -33,7 +34,9 @@ main(int argc, char **argv)
 
     std::cout << "Operator: " << p.summary() << "\n";
     std::cout << "Machine:  " << m.name << " (" << m.cores << " cores, "
-              << m.peakGflops() << " peak GFLOPS)\n\n";
+              << m.peakGflops() << " peak GFLOPS)\n";
+    std::cout << "Kernel:   " << kernelIsa()
+              << " register tile, chosen at run time for this host\n\n";
 
     // 1. Search the pruned design space (Algorithm 1).
     OptimizerOptions opts;

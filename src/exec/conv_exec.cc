@@ -1,12 +1,13 @@
 #include "exec/conv_exec.hh"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "common/timer.hh"
 #include "exec/loop_nest.hh"
-#include "exec/microkernel.hh"
+#include "exec/microkernel_tiles.hh"
 #include "tensor/packing.hh"
 
 namespace mopt {
@@ -14,28 +15,33 @@ namespace mopt {
 namespace {
 
 /**
- * Execute every register tile of one L2-and-inward region. The walkers
- * iterate the *per-group* iteration space (problemExtents is per
- * group), so the group's channel offsets relocate the local k into the
- * global output/kernel axis and the local c into the global input
- * axis. Dense convs run with both offsets 0.
+ * Execute every register tile of group @p g's part of one
+ * L2-and-inward region. The walkers iterate the *per-group* iteration
+ * space (problemExtents is per group): the group's channel offsets
+ * relocate the local k into the global kernel axis and the local c
+ * into the global input axis. The tiles accumulate into @p acc, which
+ * holds group g's outputs as [N][H][W][K/G] after the slabs of groups
+ * 0..g-1, so a register tile's channels are contiguous.
  */
 void
-runRegion(const ConvProblem &p, const Tensor4 &in, const PackedKernel &pk,
-          Tensor4 &out, const ExecConfig &cfg, const TileBounds &region,
-          std::int64_t k_off, std::int64_t c_off)
+runRegion(const ConvProblem &p, const RegisterTiler &tiler, float *acc,
+          const ExecConfig &cfg, const TileBounds &region, std::int64_t g)
 {
+    const std::int64_t kg = p.kPerGroup();
+    const std::int64_t k_off = g * kg;
+    const std::int64_t c_off = g * p.cPerGroup();
     walkTilesAtLevel(cfg, LvlL2, region, [&](const TileBounds &l2) {
         walkTilesAtLevel(cfg, LvlL1, l2, [&](const TileBounds &l1) {
             walkRegisterTiles(
                 cfg, l1,
                 [&](std::int64_t n, std::int64_t h, std::int64_t w0,
                     std::int64_t wb, std::int64_t k0, std::int64_t kb) {
-                    computeRegisterTile(p, in, pk, out, n, h, w0, wb,
-                                        k_off + k0, kb, l1.lo[DimC],
-                                        l1.hi[DimC], l1.lo[DimR],
-                                        l1.hi[DimR], l1.lo[DimS],
-                                        l1.hi[DimS], c_off);
+                    float *o =
+                        acc + (((g * p.n + n) * p.h + h) * p.w + w0) * kg +
+                        k0;
+                    tiler(n, h, w0, wb, k_off + k0, kb, l1.lo[DimC],
+                          l1.hi[DimC], l1.lo[DimR], l1.hi[DimR],
+                          l1.lo[DimS], l1.hi[DimS], c_off, o);
                 });
         });
     });
@@ -52,7 +58,6 @@ runConv(const ConvProblem &p, const Tensor4 &in, const Tensor4 &ker,
               "runConv: output shape mismatch");
 
     Timer total;
-    out.fill(0.0f);
 
     Timer pack_timer;
     const PackedKernel pk(ker, MicroKernelShape::kVecLen);
@@ -61,38 +66,49 @@ runConv(const ConvProblem &p, const Tensor4 &in, const Tensor4 &ker,
     std::int64_t want = 1;
     for (std::int64_t f : cfg.par)
         want *= f;
-    const int nthreads = threads > 0 ? threads : static_cast<int>(want);
+    ThreadPool::SubWidth pool = globalPool().subWidth(
+        static_cast<std::size_t>(threads > 0 ? threads : want));
+
+    // K-contiguous accumulator, one [N][H][W][K/G] slab per group.
+    const std::int64_t kg = p.kPerGroup();
+    const std::int64_t plane = p.h * p.w;
+    std::vector<float> acc(
+        static_cast<std::size_t>(p.groups * p.n * plane * kg), 0.0f);
+
+    const RegisterTiler tiler(p, in, pk, kg, 1);
 
     // The group index is the implicit outermost loop (problem.hh): the
-    // walkers below cover one group's [0, k/G) x [0, c/G) channel
-    // space, and the per-group offsets place it in the global tensors.
+    // walkers cover one group's [0, k/G) x [0, c/G) channel space.
     const TileBounds full = fullRegion(p);
-    if (nthreads <= 1) {
-        for (std::int64_t g = 0; g < p.groups; ++g) {
-            const std::int64_t k_off = g * p.kPerGroup();
-            const std::int64_t c_off = g * p.cPerGroup();
-            walkTilesAtLevel(cfg, LvlL3, full, [&](const TileBounds &l3) {
-                runRegion(p, in, pk, out, cfg, l3, k_off, c_off);
-            });
+    walkTilesAtLevel(cfg, LvlL3, full, [&](const TileBounds &l3) {
+        // Sec. 7: parallelize within the L3 tile. Chunks along
+        // non-reduction dims write disjoint outputs, and so do groups,
+        // so every (group, chunk) pair of the tile joins one fork-join
+        // with no synchronization inside it.
+        const std::vector<TileBounds> chunks = splitRegion(l3, cfg.par);
+        const std::size_t count =
+            chunks.size() * static_cast<std::size_t>(p.groups);
+        const auto body = [&](std::size_t i) {
+            runRegion(p, tiler, acc.data(), cfg,
+                      chunks[i % chunks.size()],
+                      static_cast<std::int64_t>(i / chunks.size()));
+        };
+        // One item or one thread runs inline, queueing no task.
+        if (count == 1 || pool.width() == 1) {
+            for (std::size_t i = 0; i < count; ++i)
+                body(i);
+        } else {
+            pool.parallelFor(count, body);
         }
-    } else {
-        ThreadPool pool(static_cast<std::size_t>(nthreads));
-        for (std::int64_t g = 0; g < p.groups; ++g) {
-            const std::int64_t k_off = g * p.kPerGroup();
-            const std::int64_t c_off = g * p.cPerGroup();
-            walkTilesAtLevel(cfg, LvlL3, full, [&](const TileBounds &l3) {
-                // Sec. 7: parallelize within the L3 tile; chunks along
-                // non-reduction dims write disjoint output regions, so
-                // no synchronization is needed.
-                const std::vector<TileBounds> chunks =
-                    splitRegion(l3, cfg.par);
-                pool.parallelFor(chunks.size(), [&](std::size_t i) {
-                    runRegion(p, in, pk, out, cfg, chunks[i], k_off,
-                              c_off);
-                });
-            });
-        }
-    }
+    });
+
+    // Write NKHW once: each group's [H*W][K/G] slab is the transpose
+    // of its channels' output planes.
+    for (std::int64_t g = 0; g < p.groups; ++g)
+        for (std::int64_t n = 0; n < p.n; ++n)
+            transposeInto(acc.data() + (g * p.n + n) * plane * kg, plane,
+                          kg, kg, out.data() + out.offset(n, g * kg, 0, 0),
+                          plane);
 
     ExecStats stats;
     stats.seconds = total.seconds();

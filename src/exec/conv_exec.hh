@@ -34,7 +34,10 @@ struct ExecStats
  * @param ker      kernel [k][c][r][s] (packed internally)
  * @param out      output [n][k][h][w]
  * @param cfg      tiling configuration; cfg.par controls threading
- * @param threads  worker threads; 0 = product of cfg.par
+ * @param threads  threads that take part, the caller included; 0 =
+ *                 product of cfg.par. They come from globalPool(), so
+ *                 no thread is spawned per call, and the count is
+ *                 capped at that pool's size + 1.
  */
 ExecStats runConv(const ConvProblem &p, const Tensor4 &in,
                   const Tensor4 &ker, Tensor4 &out, const ExecConfig &cfg,

@@ -1,9 +1,21 @@
 #include "exec/microkernel.hh"
 
-#include "common/logging.hh"
+#include <algorithm>
 
-#if defined(__AVX2__)
+#include "common/logging.hh"
+#include "exec/microkernel_tiles.hh"
+
+#if defined(__x86_64__) || defined(__i386__)
+#define MOPT_X86_TILE 1
 #include <immintrin.h>
+#endif
+
+// Fully unroll a loop over the register block's points, so its
+// accumulators stay in registers.
+#if defined(__clang__)
+#define MOPT_UNROLL_POINTS _Pragma("unroll")
+#else
+#define MOPT_UNROLL_POINTS _Pragma("GCC unroll 6")
 #endif
 
 namespace mopt {
@@ -13,116 +25,139 @@ namespace {
 constexpr int VL = MicroKernelShape::kVecLen;
 constexpr int KU = MicroKernelShape::kKU;
 constexpr int WU = MicroKernelShape::kWU;
+static_assert(KU == 2 * VL, "a register block is two vectors wide");
+
+#if defined(MOPT_X86_TILE)
 
 /**
- * Fast path: full 16-channel block starting at an 8-aligned k0, up to
- * 6 output points. Accumulators live in registers for the whole
- * (c, r, s) reduction, exactly the outer-product scheme of Fig. 4.
+ * The outer-product scheme of Fig. 4 for a WB-point block: 2 * WB
+ * accumulators stay in registers for the whole (c, r, s) reduction;
+ * each step loads 16 weight lanes and broadcasts one input per point.
  */
-void
-fastTile(const ConvProblem &p, const Tensor4 &in, const PackedKernel &pk,
-         Tensor4 &out, std::int64_t n, std::int64_t h, std::int64_t w0,
-         std::int64_t wb, std::int64_t k0, std::int64_t c0, std::int64_t c1,
-         std::int64_t r0, std::int64_t r1, std::int64_t s0, std::int64_t s1,
-         std::int64_t c_off)
+template <int WB>
+__attribute__((target("avx2,fma"))) void
+avx2TileW(const RegisterTile &t)
 {
-    const std::int64_t kb0 = k0 / VL;
-    const std::int64_t stride = p.stride;
-    const std::int64_t dil = p.dilation;
-
-#if defined(__AVX2__)
-    __m256 acc[WU][2];
-    for (int wi = 0; wi < WU; ++wi) {
-        acc[wi][0] = _mm256_setzero_ps();
-        acc[wi][1] = _mm256_setzero_ps();
+    const std::int64_t in_w = t.in_w, in_s = t.in_s, ker_s = t.ker_s;
+    __m256 lo[WB], hi[WB];
+MOPT_UNROLL_POINTS
+    for (int i = 0; i < WB; ++i) {
+        lo[i] = _mm256_setzero_ps();
+        hi[i] = _mm256_setzero_ps();
     }
-    for (std::int64_t c = c0; c < c1; ++c) {
-        for (std::int64_t r = r0; r < r1; ++r) {
-            const float *in_row =
-                in.data() +
-                in.offset(n, c_off + c, h * stride + r * dil, 0);
-            for (std::int64_t s = s0; s < s1; ++s) {
-                const __m256 ker0 =
-                    _mm256_loadu_ps(pk.lanes(kb0, c, r, s));
-                const __m256 ker1 =
-                    _mm256_loadu_ps(pk.lanes(kb0 + 1, c, r, s));
-                for (std::int64_t wi = 0; wi < wb; ++wi) {
-                    const __m256 iv = _mm256_set1_ps(
-                        in_row[(w0 + wi) * stride + s * dil]);
-                    acc[wi][0] =
-                        _mm256_fmadd_ps(iv, ker0, acc[wi][0]);
-                    acc[wi][1] =
-                        _mm256_fmadd_ps(iv, ker1, acc[wi][1]);
+    for (std::int64_t c = 0; c < t.nc; ++c) {
+        for (std::int64_t r = 0; r < t.nr; ++r) {
+            const float *ip = t.in + c * t.in_c + r * t.in_r;
+            const float *kp = t.ker + c * t.ker_c + r * t.ker_r;
+            for (std::int64_t s = 0; s < t.ns;
+                 ++s, ip += in_s, kp += ker_s) {
+                const __m256 k_lo = _mm256_loadu_ps(kp);
+                const __m256 k_hi = _mm256_loadu_ps(kp + VL);
+MOPT_UNROLL_POINTS
+                for (int i = 0; i < WB; ++i) {
+                    const __m256 iv = _mm256_broadcast_ss(ip + i * in_w);
+                    lo[i] = _mm256_fmadd_ps(iv, k_lo, lo[i]);
+                    hi[i] = _mm256_fmadd_ps(iv, k_hi, hi[i]);
                 }
             }
         }
     }
-    for (std::int64_t wi = 0; wi < wb; ++wi) {
-        float *o = out.data() + out.offset(n, k0, h, w0 + wi);
-        const std::int64_t kstride = out.dim(2) * out.dim(3);
-        // Out layout is NKHW: channel k is strided by H*W, so the
-        // accumulator lanes scatter with stride kstride.
+    // A full block into K-contiguous output is two vector
+    // read-modify-writes per point. A partial block, or NKHW output
+    // (computeRegisterTile), goes lane by lane; on depthwise layers'
+    // one-channel blocks that beats masked vector updates.
+    const bool full = t.kb == KU && t.out_k == 1;
+MOPT_UNROLL_POINTS
+    for (int i = 0; i < WB; ++i) {
+        float *o = t.out + i * t.out_w;
+        if (full) {
+            _mm256_storeu_ps(o, _mm256_add_ps(_mm256_loadu_ps(o), lo[i]));
+            _mm256_storeu_ps(o + VL, _mm256_add_ps(_mm256_loadu_ps(o + VL),
+                                                   hi[i]));
+            continue;
+        }
         alignas(32) float lanes[KU];
-        _mm256_store_ps(lanes, acc[wi][0]);
-        _mm256_store_ps(lanes + VL, acc[wi][1]);
-        for (int ki = 0; ki < KU; ++ki)
-            o[ki * kstride] += lanes[ki];
+        _mm256_store_ps(lanes, lo[i]);
+        _mm256_store_ps(lanes + VL, hi[i]);
+        for (int ki = 0; ki < t.kb; ++ki)
+            o[ki * t.out_k] += lanes[ki];
     }
-#else
-    float acc[WU][KU] = {};
-    for (std::int64_t c = c0; c < c1; ++c) {
-        for (std::int64_t r = r0; r < r1; ++r) {
-            const float *in_row =
-                in.data() +
-                in.offset(n, c_off + c, h * stride + r * dil, 0);
-            for (std::int64_t s = s0; s < s1; ++s) {
-                const float *ker0 = pk.lanes(kb0, c, r, s);
-                const float *ker1 = pk.lanes(kb0 + 1, c, r, s);
-                for (std::int64_t wi = 0; wi < wb; ++wi) {
-                    const float iv = in_row[(w0 + wi) * stride + s * dil];
-                    for (int l = 0; l < VL; ++l) {
-                        acc[wi][l] += iv * ker0[l];
-                        acc[wi][VL + l] += iv * ker1[l];
-                    }
-                }
-            }
-        }
-    }
-    for (std::int64_t wi = 0; wi < wb; ++wi) {
-        float *o = out.data() + out.offset(n, k0, h, w0 + wi);
-        const std::int64_t kstride = out.dim(2) * out.dim(3);
-        for (int ki = 0; ki < KU; ++ki)
-            o[ki * kstride] += acc[wi][ki];
-    }
-#endif
 }
 
-/** Scalar fallback for edge blocks (unaligned k0 or short kb/wb). */
-void
-scalarTile(const ConvProblem &p, const Tensor4 &in, const PackedKernel &pk,
-           Tensor4 &out, std::int64_t n, std::int64_t h, std::int64_t w0,
-           std::int64_t wb, std::int64_t k0, std::int64_t kb,
-           std::int64_t c0, std::int64_t c1, std::int64_t r0,
-           std::int64_t r1, std::int64_t s0, std::int64_t s1,
-           std::int64_t c_off)
+__attribute__((target("avx2,fma"))) void
+avx2TileAnyW(const RegisterTile &t)
 {
-    const std::int64_t stride = p.stride;
-    const std::int64_t dil = p.dilation;
-    for (std::int64_t k = k0; k < k0 + kb; ++k) {
-        for (std::int64_t wi = 0; wi < wb; ++wi) {
-            float acc = 0.0f;
-            for (std::int64_t c = c0; c < c1; ++c)
-                for (std::int64_t r = r0; r < r1; ++r)
-                    for (std::int64_t s = s0; s < s1; ++s)
-                        acc += in.at(n, c_off + c, h * stride + r * dil,
-                                     (w0 + wi) * stride + s * dil) *
-                               pk.at(k, c, r, s);
-            out.at(n, k, h, w0 + wi) += acc;
-        }
+    switch (t.wb) {
+    case 1: avx2TileW<1>(t); break;
+    case 2: avx2TileW<2>(t); break;
+    case 3: avx2TileW<3>(t); break;
+    case 4: avx2TileW<4>(t); break;
+    case 5: avx2TileW<5>(t); break;
+    default: avx2TileW<WU>(t); break;
     }
 }
+
+#endif // MOPT_X86_TILE
 
 } // namespace
+
+void
+portableTile(const RegisterTile &t)
+{
+    float acc[WU][KU] = {};
+    for (std::int64_t c = 0; c < t.nc; ++c) {
+        for (std::int64_t r = 0; r < t.nr; ++r) {
+            const float *ip = t.in + c * t.in_c + r * t.in_r;
+            const float *kp = t.ker + c * t.ker_c + r * t.ker_r;
+            for (std::int64_t s = 0; s < t.ns;
+                 ++s, ip += t.in_s, kp += t.ker_s) {
+                for (int wi = 0; wi < t.wb; ++wi) {
+                    const float iv = ip[wi * t.in_w];
+                    for (int ki = 0; ki < KU; ++ki)
+                        acc[wi][ki] += iv * kp[ki];
+                }
+            }
+        }
+    }
+    for (int wi = 0; wi < t.wb; ++wi)
+        for (int ki = 0; ki < t.kb; ++ki)
+            t.out[wi * t.out_w + ki * t.out_k] += acc[wi][ki];
+}
+
+TileFn
+avx2Tile()
+{
+#if defined(MOPT_X86_TILE)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+        return avx2TileAnyW;
+#endif
+    return nullptr;
+}
+
+TileFn
+hostTile()
+{
+    static const TileFn tile = avx2Tile() ? avx2Tile() : portableTile;
+    return tile;
+}
+
+RegisterTiler::RegisterTiler(const ConvProblem &p, const Tensor4 &in,
+                             const PackedKernel &pk, std::int64_t out_w,
+                             std::int64_t out_k)
+    : in_(in), pk_(pk), stride_(p.stride), dil_(p.dilation),
+      tile_(hostTile()), base_()
+{
+    base_.in_w = stride_;
+    base_.in_c = in.dim(2) * in.dim(3);
+    base_.in_r = dil_ * in.dim(3);
+    base_.in_s = dil_;
+    base_.ker_s = pk.rowStride();
+    base_.ker_r = pk.kernelW() * base_.ker_s;
+    base_.ker_c = pk.kernelH() * base_.ker_r;
+    base_.out_w = out_w;
+    base_.out_k = out_k;
+}
 
 void
 computeRegisterTile(const ConvProblem &p, const Tensor4 &in,
@@ -132,16 +167,19 @@ computeRegisterTile(const ConvProblem &p, const Tensor4 &in,
                     std::int64_t c1, std::int64_t r0, std::int64_t r1,
                     std::int64_t s0, std::int64_t s1, std::int64_t c_off)
 {
-    checkInvariant(pk.vecLen() == VL,
-                   "computeRegisterTile: packed kernel vector length");
-    if (kb == KU && k0 % VL == 0 && wb <= WU && wb >= 1 &&
-        k0 + kb <= out.dim(1)) {
-        fastTile(p, in, pk, out, n, h, w0, wb, k0, c0, c1, r0, r1, s0,
-                 s1, c_off);
-    } else {
-        scalarTile(p, in, pk, out, n, h, w0, wb, k0, kb, c0, c1, r0, r1,
-                   s0, s1, c_off);
-    }
+    // One branch, so the hot path builds no message string.
+    if (pk.vecLen() != VL || k0 < 0 || k0 + kb > pk.numOutChannels())
+        panic("computeRegisterTile: packed kernel vector length or "
+              "channel block out of range");
+    const RegisterTiler tiler(p, in, pk, 1, out.dim(2) * out.dim(3));
+    tiler(n, h, w0, wb, k0, kb, c0, c1, r0, r1, s0, s1, c_off,
+          out.data() + out.offset(n, k0, h, w0));
+}
+
+const char *
+kernelIsa()
+{
+    return hostTile() == portableTile ? "portable" : "avx2+fma";
 }
 
 } // namespace mopt

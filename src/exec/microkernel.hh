@@ -4,7 +4,7 @@
  * an outer-product scheme holding a block of up to 6 output points x
  * 16 output channels in accumulator registers, reused across the
  * whole (c, r, s) reduction of the enclosing L1 tile. Output channels
- * are vectorized via the packed kernel layout (tensor/packing.hh).
+ * are vectorized via the K-contiguous packed kernel (tensor/packing.hh).
  */
 
 #ifndef MOPT_EXEC_MICROKERNEL_HH
@@ -18,7 +18,7 @@
 
 namespace mopt {
 
-/** Compile-time shape of the fast-path register block. */
+/** Compile-time shape of the register block. */
 struct MicroKernelShape
 {
     static constexpr int kVecLen = 8; //!< fp32 lanes (matches packing).
@@ -40,10 +40,17 @@ struct MicroKernelShape
  * extent is c/groups) and @p c_off relocates it into the input's
  * global channel axis. Dense convs pass c_off = 0.
  *
- * A vectorizable fast path handles the aligned full-size block
- * (kb == 16, k0 % 8 == 0, wb <= 6); other shapes — including blocks
- * whose global k0 loses alignment at a group boundary — fall back to
- * a scalar loop. The packed kernel must use vector length 8.
+ * Every tile runs on the register-block kernel: any k0, kb and wb,
+ * with k0 + kb at most the kernel's K (checked; a violation panics).
+ * The kernel computes at most 6 points x 16 channels per call, so
+ * wider tiles (such as a 32-wide K register tile) are split into
+ * calls of that size; a call with kb < 16 still loads 16 lanes, which
+ * the packed kernel's padding keeps in bounds, and stores only kb.
+ * The instruction set is chosen once per process at run time: an
+ * AVX2+FMA kernel when the CPU has both extensions, otherwise a
+ * portable C++ kernel with the same semantics (see kernelIsa()). No
+ * compiler flag is needed for either. The packed kernel must use
+ * vector length 8.
  */
 void computeRegisterTile(const ConvProblem &p, const Tensor4 &in,
                          const PackedKernel &pk, Tensor4 &out,
@@ -52,6 +59,10 @@ void computeRegisterTile(const ConvProblem &p, const Tensor4 &in,
                          std::int64_t c0, std::int64_t c1, std::int64_t r0,
                          std::int64_t r1, std::int64_t s0, std::int64_t s1,
                          std::int64_t c_off = 0);
+
+/** The register-tile kernel this process runs: "avx2+fma" or
+ *  "portable". */
+const char *kernelIsa();
 
 } // namespace mopt
 

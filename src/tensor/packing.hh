@@ -1,10 +1,11 @@
 /**
  * @file
- * Kernel packing (Sec. 6 of the paper): the output-channel dimension K
- * is split into vector-length chunks laid out innermost,
- * [K, C, R, S] -> [K/vl, C, R, S, vl], so the microkernel gets stride-1
- * access along the vectorized K dimension. The packing cost is part of
- * every measured execution, as in the paper.
+ * Kernel packing (Sec. 6 of the paper): the kernel is transposed so the
+ * output-channel dimension K runs innermost and contiguous,
+ * [K, C, R, S] -> [C, R, S, Kp], where Kp is K rounded up to the vector
+ * length. The microkernel can then load the weights of any run of
+ * consecutive output channels at stride 1, starting at any k. The
+ * packing cost is part of every measured execution, as in the paper.
  */
 
 #ifndef MOPT_TENSOR_PACKING_HH
@@ -18,9 +19,14 @@
 namespace mopt {
 
 /**
- * Kernel tensor packed as [ceil(K/vl)][C][R][S][vl]. The K tail (when K
- * is not a multiple of vl) is zero-padded, which is safe because the
- * extra lanes multiply into output channels that are never stored.
+ * Kernel tensor packed as K-contiguous rows [C][R][S][Kp]. Kp is a
+ * multiple of the vector length; row lanes past K are zero. Two
+ * vectors of trailing padding follow the last row, so a load of
+ * 2 * vl floats starting at any k < K of any row stays inside the
+ * allocation.
+ *
+ * The vl-lane block kb of row (c, r, s) holds output channels
+ * [kb * vl, kb * vl + vl), so numKBlocks() vl-lane blocks cover K.
  */
 class PackedKernel
 {
@@ -35,19 +41,31 @@ class PackedKernel
     std::int64_t kernelW() const { return s_; }
     std::int64_t numKBlocks() const { return kb_; }
 
+    /** Floats from one (c, r, s) row to the next (Kp). */
+    std::int64_t rowStride() const { return kp_; }
+
+    /** The K-contiguous row of weights for (c, r, s). */
+    const float *
+    row(std::int64_t c, std::int64_t r, std::int64_t s) const
+    {
+        return data_.data() +
+               static_cast<std::size_t>(((c * r_ + r) * s_ + s) * kp_);
+    }
+
     /** Pointer to the vl-length lane block for (kb, c, r, s). */
     const float *
     lanes(std::int64_t kb, std::int64_t c, std::int64_t r,
           std::int64_t s) const
     {
-        return data_.data() +
-               static_cast<std::size_t>(
-                   (((kb * c_ + c) * r_ + r) * s_ + s) * vec_len_);
+        return row(c, r, s) + kb * vec_len_;
     }
 
     /** Element accessor (k is an original output-channel index). */
     float at(std::int64_t k, std::int64_t c, std::int64_t r,
-             std::int64_t s) const;
+             std::int64_t s) const
+    {
+        return row(c, r, s)[k];
+    }
 
     /** Unpack to KCRS (for round-trip testing). */
     Tensor4 unpack() const;
@@ -57,9 +75,19 @@ class PackedKernel
 
   private:
     int vec_len_;
-    std::int64_t k_, c_, r_, s_, kb_;
+    std::int64_t k_, c_, r_, s_, kb_, kp_;
     std::vector<float> data_;
 };
+
+/**
+ * Cache-blocked 2-D transpose: dst[j * dst_stride + i] =
+ * src[i * src_stride + j] for i in [0, rows), j in [0, cols). Square
+ * blocks keep both the reads and the writes of each block on a few
+ * cache lines.
+ */
+void transposeInto(const float *src, std::int64_t rows, std::int64_t cols,
+                   std::int64_t src_stride, float *dst,
+                   std::int64_t dst_stride);
 
 } // namespace mopt
 

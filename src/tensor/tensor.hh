@@ -2,7 +2,7 @@
  * @file
  * Dense 4-D float tensors in row-major order. The CNN computation uses
  * In[N][C][H][W] (NCHW), Ker[K][C][R][S] (KCRS), Out[N][K][H][W].
- * A packed kernel layout [K/vl][C][R][S][vl] is provided by packing.hh.
+ * A packed kernel layout [C][R][S][K] is provided by packing.hh.
  */
 
 #ifndef MOPT_TENSOR_TENSOR_HH

@@ -1,8 +1,9 @@
 /**
  * @file
  * Correctness tests of the tiled executor against the naive reference:
- * the microkernel fast/fallback paths, arbitrary sampled tilings
- * (property test), strides, partial tiles, and parallel execution.
+ * register tiles at any K offset and size, the portable and AVX2
+ * tiles against each other, arbitrary sampled tilings (property
+ * test), strides, partial tiles, and parallel execution.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "exec/conv_exec.hh"
 #include "exec/loop_nest.hh"
 #include "exec/measure.hh"
+#include "exec/microkernel_tiles.hh"
 #include "machine/machine.hh"
 #include "optimizer/mopt_optimizer.hh"
 
@@ -112,7 +114,7 @@ TEST(ConvExec, DefaultConfigMatchesReference)
     ConvProblem p;
     p.name = "dflt";
     p.n = 2;
-    p.k = 20; // forces a scalar edge block (20 = 16 + 4)
+    p.k = 20; // a partial 4-channel block (20 = 16 + 4)
     p.c = 5;
     p.r = 3;
     p.s = 3;
@@ -235,7 +237,7 @@ TEST_P(GroupedCorrectness, MatchesReference)
     ConvProblem p;
     p.name = "grp";
     p.n = 2;
-    p.k = 24; // 24/8 = 3 per group: forces the scalar edge path
+    p.k = 24; // 24/8 = 3 per group: blocks start off the 8-lane grid
     p.c = 16;
     p.r = 3;
     p.s = 3;
@@ -315,6 +317,149 @@ TEST(ConvExec, GroupedParallelMatchesSequential)
     runConv(p, in, ker, seq, cfg, 1);
     runConv(p, in, ker, par, cfg, 4);
     EXPECT_DOUBLE_EQ(Tensor4::maxAbsDiff(seq, par), 0.0);
+}
+
+/**
+ * Register tiles of every K size in 1..15 and 32, every W size in
+ * 1..6, starting at every k0 % 8: an odd L1 K tile t1 puts the L1
+ * tiles' first channels at every residue mod 8, and the register
+ * tiles split each L1 tile into kb-wide blocks plus a tail.
+ */
+class RegisterTileShapes : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(RegisterTileShapes, AnyKOffsetMatchesReference)
+{
+    const std::int64_t kb = GetParam();
+    const std::int64_t t1 = kb % 2 == 1 ? kb : kb + 1;
+    ConvProblem p;
+    p.name = "kofs";
+    p.n = 1;
+    p.k = 8 * t1;
+    p.c = 3;
+    p.r = 2;
+    p.s = 3;
+    p.h = 2;
+    p.w = 13;
+    for (std::int64_t wb = 1; wb <= 6; ++wb) {
+        ExecConfig cfg = defaultConfig(p);
+        cfg.tiles[LvlReg][DimK] = kb;
+        cfg.tiles[LvlReg][DimW] = wb;
+        cfg.tiles[LvlL1][DimK] = t1;
+        cfg.tiles[LvlL2][DimK] = 2 * t1;
+        expectMatchesReference(p, cfg, 1,
+                               static_cast<std::uint64_t>(kb * 10 + wb));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(KSizes, RegisterTileShapes,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                           11, 12, 13, 14, 15, 32));
+
+/** MobileNet conv14's shape of plan: an L2 K tile of 86, so most
+ *  16-wide register tiles start off the 8-lane grid. */
+TEST(ConvExec, KTileOf86MatchesReference)
+{
+    ConvProblem p;
+    p.name = "conv14";
+    p.n = 1;
+    p.k = 256;
+    p.c = 32;
+    p.r = 1;
+    p.s = 1;
+    p.h = 4;
+    p.w = 14;
+    ExecConfig cfg = defaultConfig(p);
+    cfg.perm[LvlL2] = Permutation::parse("kcrsnhw");
+    cfg.perm[LvlL1] = Permutation::parse("kcrsnhw");
+    cfg.tiles[LvlL3] = problemExtents(p);
+    cfg.tiles[LvlL2] = {1, 86, 32, 1, 1, 2, 7};
+    cfg.tiles[LvlL1] = {1, 16, 10, 1, 1, 1, 6};
+    cfg.tiles[LvlReg] = {1, 16, 1, 1, 1, 1, 6};
+    cfg.par = {1, 1, 1, 1, 1, 2, 2}; // a K split would realign the tiles
+    expectMatchesReference(p, cfg, 1);
+    expectMatchesReference(p, cfg, 3);
+}
+
+/** The portable and AVX2 tiles compute the same thing on random
+ *  tiles, into K-contiguous and into NKHW-strided output. */
+TEST(MicroKernel, PortableAndAvx2TilesAgree)
+{
+    const TileFn avx2 = avx2Tile();
+    if (avx2 == nullptr)
+        GTEST_SKIP() << "host has no AVX2+FMA";
+    Rng rng(77);
+    std::vector<float> in(4096), ker(4096);
+    for (float &v : in)
+        v = static_cast<float>(rng.uniform01() * 2.0 - 1.0);
+    for (float &v : ker)
+        v = static_cast<float>(rng.uniform01() * 2.0 - 1.0);
+    for (int trial = 0; trial < 200; ++trial) {
+        RegisterTile t;
+        t.nc = rng.uniformInt(1, 6);
+        t.nr = rng.uniformInt(1, 3);
+        t.ns = rng.uniformInt(1, 3);
+        t.wb = static_cast<int>(rng.uniformInt(1, MicroKernelShape::kWU));
+        t.kb = static_cast<int>(rng.uniformInt(1, MicroKernelShape::kKU));
+        t.in_s = rng.uniformInt(1, 2);
+        t.in_w = rng.uniformInt(1, 2);
+        t.in_r = 20;
+        t.in_c = 80;
+        t.in = in.data() + rng.uniformInt(0, 7);
+        t.ker_s = 17;
+        t.ker_r = t.ker_s * 3;
+        t.ker_c = t.ker_r * 3;
+        t.ker = ker.data() + rng.uniformInt(0, 15);
+        const bool k_contiguous = trial % 2 == 0;
+        t.out_k = k_contiguous ? 1 : 7;
+        t.out_w = k_contiguous ? 19 : 1;
+        std::vector<float> a(256), b(256);
+        for (std::size_t i = 0; i < a.size(); ++i)
+            a[i] = b[i] = static_cast<float>(i % 13);
+        t.out = a.data();
+        portableTile(t);
+        t.out = b.data();
+        avx2(t);
+        for (std::size_t i = 0; i < a.size(); ++i)
+            ASSERT_NEAR(a[i], b[i], 1e-4) << "trial " << trial << " at " << i;
+    }
+}
+
+/** Groups far outnumber threads, with chunked L3 tiles: every
+ *  (group, chunk) pair joins one fork-join per L3 tile, and the
+ *  result is bit-identical at 1 and 3 threads. */
+TEST(ConvExec, ManyGroupsParallelMatchSequential)
+{
+    for (const std::int64_t groups : {12, 48}) {
+        ConvProblem p;
+        p.name = groups == 48 ? "dw" : "grp";
+        p.n = 2;
+        p.k = 48 * (groups == 48 ? 1 : 2);
+        p.c = 48;
+        p.r = 3;
+        p.s = 3;
+        p.h = 10;
+        p.w = 11;
+        p.groups = groups;
+        p.validate();
+        ExecConfig cfg = defaultConfig(p);
+        cfg.tiles[LvlL3][DimH] = 6;
+        cfg.tiles[LvlL1][DimS] = 2;
+        cfg.par = {1, 1, 1, 1, 1, 2, 3};
+
+        Rng rng(8);
+        Tensor4 in = makeInput(p), ker = makeKernel(p);
+        in.fillRandom(rng);
+        ker.fillRandom(rng);
+        Tensor4 ref = makeOutput(p), seq = makeOutput(p),
+                par = makeOutput(p);
+        referenceConv(p, in, ker, ref);
+        runConv(p, in, ker, seq, cfg, 1);
+        runConv(p, in, ker, par, cfg, 3);
+        EXPECT_LT(Tensor4::maxAbsDiff(ref, seq), kTol) << p.summary();
+        EXPECT_DOUBLE_EQ(Tensor4::maxAbsDiff(seq, par), 0.0) << p.summary();
+    }
 }
 
 TEST(Measure, ReportsStatistics)

@@ -58,6 +58,7 @@
 #include "conv/reference.hh"
 #include "conv/workloads.hh"
 #include "exec/conv_exec.hh"
+#include "exec/microkernel.hh"
 #include "frontend/registry.hh"
 #include "machine/machine.hh"
 #include "model/multi_level.hh"
@@ -338,7 +339,8 @@ runNetwork(int argc, char **argv)
         std::cout << ", batch " << def.batch;
     std::cout << ")\n";
     std::cout << "Machine:  " << m.name << " (" << m.cores << " cores, "
-              << m.vec_lanes << "-lane SIMD)\n";
+              << m.vec_lanes << "-lane SIMD; host kernel " << kernelIsa()
+              << ")\n";
     if (!co.journal_path.empty())
         std::cout << "Cache:    " << co.journal_path << " ("
                   << cache.stats().journal_loaded
@@ -1020,7 +1022,8 @@ runSingle(int argc, char **argv)
 
     std::cout << "Problem:  " << p.summary() << "\n";
     std::cout << "Machine:  " << m.name << " (" << m.cores << " cores, "
-              << m.vec_lanes << "-lane SIMD)\n";
+              << m.vec_lanes << "-lane SIMD; host kernel " << kernelIsa()
+              << ")\n";
     std::cout << "Mode:     "
               << (opts.parallel ? "parallel" : "sequential") << ", "
               << flags.getString("effort", "standard") << " effort\n\n";
