@@ -97,6 +97,22 @@ evalMultiLevel(const MultiLevelConfig &cfg, const ConvProblem &p,
     return out;
 }
 
+bool
+rankedBefore(const CostBreakdown &a, const CostBreakdown &b)
+{
+    if (a.total_seconds != b.total_seconds)
+        return a.total_seconds < b.total_seconds;
+    return a.seconds[static_cast<std::size_t>(a.bottleneck)] <
+           b.seconds[static_cast<std::size_t>(b.bottleneck)];
+}
+
+double
+rankingCost(const CostBreakdown &c)
+{
+    return c.total_seconds +
+           1e-6 * c.seconds[static_cast<std::size_t>(c.bottleneck)];
+}
+
 double
 capacityViolation(const MultiLevelConfig &cfg, const ConvProblem &p,
                   const MachineSpec &m)

@@ -64,6 +64,20 @@ CostBreakdown evalMultiLevel(const MultiLevelConfig &cfg,
                              DivMode mode = DivMode::Continuous);
 
 /**
+ * The planner's ranking order: the lower predicted total first; on
+ * equal totals (every compute-bound configuration predicts the same
+ * FMA bound) the one whose bottleneck level moves less traffic.
+ */
+bool rankedBefore(const CostBreakdown &a, const CostBreakdown &b);
+
+/**
+ * A scalar with rankedBefore's order for scalar minimizers:
+ * total + 1e-6 * seconds[bottleneck]. The bottleneck time never
+ * exceeds the total, so it can only reorder totals within 1 ppm.
+ */
+double rankingCost(const CostBreakdown &c);
+
+/**
  * Maximum relative capacity violation of @p cfg across hierarchy
  * levels: 0 when every level's tile footprint fits its capacity,
  * otherwise max over levels of footprint/capacity - 1. The register

@@ -99,7 +99,7 @@ integerize(const MultiLevelConfig &cfg, const ConvProblem &p,
         const ExecConfig trial = decode(x);
         if (capacityViolation(trial, p, m) > 0.0)
             return std::numeric_limits<double>::infinity();
-        return evalMultiLevel(trial, p, m, parallel).total_seconds;
+        return rankingCost(evalMultiLevel(trial, p, m, parallel));
     };
 
     // If the floored start is infeasible (flooring can only shrink

@@ -337,6 +337,10 @@ microkernelTiles(const ConvProblem &p, const MachineSpec &m)
     // 1) cannot vectorize over output channels at all.
     t[DimK] = std::min<std::int64_t>(2 * m.vec_lanes, p.kPerGroup());
     t[DimW] = std::min<std::int64_t>(6, p.w);
+    // The whole filter window, so the Out block is not reloaded once
+    // per (r, s) tap.
+    t[DimR] = p.r;
+    t[DimS] = p.s;
     return t;
 }
 
@@ -479,8 +483,7 @@ optimizeConv(const ConvProblem &p, const MachineSpec &m,
 
     std::stable_sort(out.candidates.begin(), out.candidates.end(),
                      [](const Candidate &a, const Candidate &b) {
-                         return a.predicted.total_seconds <
-                                b.predicted.total_seconds;
+                         return rankedBefore(a.predicted, b.predicted);
                      });
     if (static_cast<int>(out.candidates.size()) > opts.top_k)
         out.candidates.resize(static_cast<std::size_t>(opts.top_k));

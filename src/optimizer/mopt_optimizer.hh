@@ -4,8 +4,9 @@
  * pruned permutation classes; for each, repeatedly solve constrained
  * NLPs to find the most-constrained memory level, fix its tile sizes,
  * and recurse on the remaining levels; finally integerize (floor),
- * load-balance, and rank candidates by predicted bandwidth-scaled
- * bottleneck time.
+ * load-balance, and rank candidates by predicted time (ties between
+ * compute-bound candidates broken by bottleneck traffic, see
+ * rankedBefore).
  *
  * Execution model: each round of Algorithm 1 is flattened into
  * independent (permutation combo x objective level x start point)
@@ -32,6 +33,16 @@
 #include "model/tile_config.hh"
 
 namespace mopt {
+
+/**
+ * Revision of what optimizeConv returns for fixed inputs. Bump it
+ * whenever the search space or the ranking changes: it is folded into
+ * CacheKey::settingsFingerprint, so plans journaled or replicated by
+ * an older planner miss instead of being replayed as current ones.
+ * Revision 1 keeps the filter window whole at every level and breaks
+ * compute-bound ties by bottleneck traffic.
+ */
+constexpr std::uint64_t kPlannerRevision = 1;
 
 /** Options controlling the optimizer. */
 struct OptimizerOptions
@@ -89,7 +100,11 @@ struct OptimizeOutput
 /**
  * Register-tile sizes pinned by the microkernel (Sec. 8: machine-
  * dependent, problem-independent up to clamping): k = 2 vector
- * registers wide, 6 spatial points along w, 1 elsewhere.
+ * registers wide, 6 spatial points along w, the whole r x s filter
+ * window, 1 elsewhere. The window does not occupy registers (see
+ * registerFootprint); spanning it keeps the Out block resident for
+ * the whole reduction and, through nesting, keeps every cache-level
+ * tile from splitting the window.
  */
 IntTileVec microkernelTiles(const ConvProblem &p, const MachineSpec &m);
 

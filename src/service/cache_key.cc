@@ -67,7 +67,7 @@ CacheKey::machineFingerprint(const MachineSpec &m)
 std::uint64_t
 CacheKey::settingsFingerprint(const OptimizerOptions &o)
 {
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = fnv1aU64(kPlannerRevision, kFnvOffset);
     h = fnv1aU64(o.parallel ? 1 : 0, h);
     h = fnv1aU64(static_cast<std::uint64_t>(o.perm_mode), h);
     h = fnv1aU64(static_cast<std::uint64_t>(o.effort), h);

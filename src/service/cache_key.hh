@@ -58,10 +58,11 @@ struct CacheKey
     std::uint64_t machine_fp = 0;
 
     /** Fingerprint of the search settings (parallel mode, permutation
-     *  mode, effort, seed). top_k and threads are excluded: the former
-     *  only truncates the ranked list below the cached winner, and the
-     *  search result is thread-count invariant by design (see
-     *  docs/ARCHITECTURE.md). */
+     *  mode, effort, seed) and of kPlannerRevision, so a planner
+     *  change invalidates persisted plans. top_k and threads are
+     *  excluded: the former only truncates the ranked list below the
+     *  cached winner, and the search result is thread-count invariant
+     *  by design (see docs/ARCHITECTURE.md). */
     std::uint64_t settings_fp = 0;
 
     static CacheKey make(const ConvProblem &p, const MachineSpec &m,

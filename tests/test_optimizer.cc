@@ -52,6 +52,10 @@ TEST(MicrokernelTiles, ShapeFollowsMachine)
     EXPECT_EQ(t[DimW], 6);
     EXPECT_EQ(t[DimN], 1);
     EXPECT_EQ(t[DimC], 1);
+    // The whole filter window, so the Out block stays in registers
+    // for the full reduction.
+    EXPECT_EQ(t[DimR], 3);
+    EXPECT_EQ(t[DimS], 3);
 
     ConvProblem small = prob();
     small.k = 4;
@@ -115,6 +119,70 @@ TEST(Optimizer, CandidatesSortedByPredictedTime)
     EXPECT_GT(out.solver_evals, 0);
 }
 
+TEST(Optimizer, NeverSplitsTheFilterWindow)
+{
+    const ConvProblem stem =
+        ConvProblem::fromImage("stem", 32, 3, 56, 7, 2);
+    const ConvProblem depthwise =
+        ConvProblem::fromImage("dw", 32, 32, 28, 3, 1, 1, 32);
+    const MachineSpec m = i7_9700k();
+    OptimizerOptions o = fastOpts(true);
+    o.top_k = 1000; // every permutation combo's candidate
+    for (const ConvProblem &p : {prob(), stem, depthwise}) {
+        const OptimizeOutput out = optimizeConv(p, m, o);
+        ASSERT_FALSE(out.candidates.empty()) << p.name;
+        for (const auto &cand : out.candidates)
+            for (int l = LvlReg; l <= LvlL3; ++l) {
+                const auto &t =
+                    cand.config.tiles[static_cast<std::size_t>(l)];
+                EXPECT_EQ(t[DimR], p.r) << p.name << " " << memLevelName(l);
+                EXPECT_EQ(t[DimS], p.s) << p.name << " " << memLevelName(l);
+            }
+    }
+}
+
+TEST(Ranking, EqualTotalsBreakTiesByBottleneckTraffic)
+{
+    CostBreakdown fast, light, heavy;
+    fast.total_seconds = 1.0;
+    fast.bottleneck = LvlL3;
+    fast.seconds[LvlL3] = 1.0;
+    light.total_seconds = heavy.total_seconds = 2.0; // compute-bound
+    light.bottleneck = LvlL2;
+    light.seconds[LvlL2] = 0.5;
+    heavy.bottleneck = LvlL3;
+    heavy.seconds[LvlL3] = 1.5;
+
+    EXPECT_TRUE(rankedBefore(fast, light));
+    EXPECT_TRUE(rankedBefore(light, heavy));
+    EXPECT_FALSE(rankedBefore(heavy, light));
+    EXPECT_FALSE(rankedBefore(light, light));
+    // The scalar form keeps the same order.
+    EXPECT_LT(rankingCost(fast), rankingCost(light));
+    EXPECT_LT(rankingCost(light), rankingCost(heavy));
+}
+
+TEST(Optimizer, EqualTotalsSortedByBottleneckTraffic)
+{
+    OptimizerOptions o = fastOpts(true);
+    o.top_k = 1000;
+    const OptimizeOutput out = optimizeConv(prob(), i7_9700k(), o);
+    int ties = 0;
+    for (std::size_t i = 1; i < out.candidates.size(); ++i) {
+        const CostBreakdown &a = out.candidates[i - 1].predicted;
+        const CostBreakdown &b = out.candidates[i].predicted;
+        if (a.total_seconds != b.total_seconds)
+            continue;
+        ++ties;
+        EXPECT_LE(a.seconds[static_cast<std::size_t>(a.bottleneck)],
+                  b.seconds[static_cast<std::size_t>(b.bottleneck)])
+            << "candidates " << i - 1 << " and " << i;
+    }
+    // The i7 preset predicts this layer compute-bound for most
+    // permutation combos, so the tie-break is exercised.
+    EXPECT_GT(ties, 0);
+}
+
 TEST(Optimizer, BeatsRandomConfigurationsUnderModel)
 {
     const ConvProblem p = prob();
@@ -174,6 +242,32 @@ TEST(Integerize, OutputRespectsCapacityAndBlocks)
     for (int l = LvlL1; l <= LvlL3; ++l)
         EXPECT_EQ(e.tiles[static_cast<std::size_t>(l)][DimK] % 16, 0)
             << memLevelName(l);
+}
+
+TEST(Integerize, LeavesAFlooredNearFullExtent)
+{
+    // The continuous solve lands L3 c at 63.6 of 64; flooring gives 63
+    // and a second L3 pass over c that does almost no work. The layer
+    // is compute-bound either way, so only the bottleneck-traffic
+    // tie-break moves the hill-climb to the full extent.
+    ConvProblem p = prob();
+    p.c = 64;
+    p.h = p.w = 14;
+    const MachineSpec m = i7_9700k();
+    MultiLevelConfig cfg;
+    for (int l = 0; l < NumMemLevels; ++l)
+        cfg.level[static_cast<std::size_t>(l)].perm =
+            Permutation::parse("kcrsnhw");
+    cfg.level[LvlReg].perm = microkernelPermutation();
+    cfg.level[LvlReg].tiles = toTileVec(microkernelTiles(p, m));
+    cfg.level[LvlL1].tiles = {1.0, 16.0, 8.0, 3.0, 3.0, 2.0, 14.0};
+    cfg.level[LvlL2].tiles = {1.0, 32.0, 32.0, 3.0, 3.0, 7.0, 14.0};
+    cfg.level[LvlL3].tiles = {1.0, 64.0, 63.6, 3.0, 3.0, 14.0, 14.0};
+
+    const ExecConfig e = integerize(cfg, p, m, false);
+    EXPECT_EQ(e.tiles[LvlL3][DimC], 64) << e.str();
+    const CostBreakdown cost = evalMultiLevel(e, p, m, false);
+    EXPECT_EQ(cost.total_seconds, cost.compute_seconds) << cost.str();
 }
 
 TEST(LoadBalance, EvenSplitHasNoIdling)

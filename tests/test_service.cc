@@ -152,6 +152,25 @@ TEST(CacheKey, SettingsFingerprintSelectsResultRelevantFields)
               CacheKey::settingsFingerprint(b));
 }
 
+TEST(CacheKey, SettingsFingerprintIncludesPlannerRevision)
+{
+    // The same settings hashed without the planner revision (the
+    // fingerprint of every plan persisted before the revision existed)
+    // and with a different one must both miss.
+    const OptimizerOptions o = fastOpts();
+    auto fieldsFrom = [&o](std::uint64_t h) {
+        h = fnv1aU64(o.parallel ? 1 : 0, h);
+        h = fnv1aU64(static_cast<std::uint64_t>(o.perm_mode), h);
+        h = fnv1aU64(static_cast<std::uint64_t>(o.effort), h);
+        return fnv1aU64(o.seed, h);
+    };
+    const std::uint64_t fp = CacheKey::settingsFingerprint(o);
+    EXPECT_EQ(fp, fieldsFrom(fnv1aU64(kPlannerRevision, kFnvOffset)));
+    EXPECT_NE(fp, fieldsFrom(kFnvOffset));
+    EXPECT_NE(fp,
+              fieldsFrom(fnv1aU64(kPlannerRevision + 1, kFnvOffset)));
+}
+
 TEST(SolutionJson, RoundTrip)
 {
     const CacheKey key = keyNumber(3);
