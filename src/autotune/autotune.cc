@@ -15,6 +15,7 @@
 #include "exec/measure.hh"
 #include "model/multi_level.hh"
 #include "service/cache_key.hh"
+#include "service/network_optimizer.hh"
 
 namespace mopt {
 
@@ -146,20 +147,11 @@ autotuneProblems(const std::vector<ConvProblem> &net, const MachineSpec &m,
     if (report.work_dir.empty() && aopts.runner == TuneRunner::Emitted)
         report.work_dir = makeWorkDir();
 
-    // Dedupe shapes by canonical problem, preserving first-seen order
-    // (the same rule the solution cache keys by).
+    // Dedupe shapes by cache key, preserving first-seen order (the
+    // grouping every network plan uses).
     std::vector<ConvProblem> shapes;
-    for (const ConvProblem &layer : net) {
-        const ConvProblem canon = CacheKey::canonicalProblem(layer);
-        bool seen = false;
-        for (const ConvProblem &s : shapes)
-            if (s == canon) {
-                seen = true;
-                break;
-            }
-        if (!seen)
-            shapes.push_back(canon);
-    }
+    for (const KeyGroup &g : groupByKey(net, m, opts))
+        shapes.push_back(g.key.problem);
     report.unique_shapes = shapes.size();
 
     OptimizerOptions solve_opts = opts;

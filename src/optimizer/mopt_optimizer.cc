@@ -350,15 +350,23 @@ microkernelPermutation()
     return Permutation::parse("nhwkcrs");
 }
 
+std::size_t
+solveWidth(const OptimizerOptions &opts, int concurrent_solves)
+{
+    const std::size_t helpers =
+        opts.threads > 0
+            ? static_cast<std::size_t>(opts.threads)
+            : std::max(1u, std::thread::hardware_concurrency());
+    return std::max<std::size_t>(
+        1, (helpers + 1) /
+               static_cast<std::size_t>(std::max(1, concurrent_solves)));
+}
+
 OptimizeOutput
 optimizeConv(const ConvProblem &p, const MachineSpec &m,
              const OptimizerOptions &opts)
 {
-    const std::size_t workers = std::max<std::size_t>(
-        1, opts.threads > 0
-               ? static_cast<std::size_t>(opts.threads)
-               : std::max(1u, std::thread::hardware_concurrency()));
-    ThreadPool pool(workers);
+    ThreadPool pool(solveWidth(opts) - 1);
     return optimizeConv(p, m, opts, pool.fullWidth());
 }
 

@@ -69,10 +69,20 @@ struct OptimizerOptions
      *  returned configuration. */
     std::uint64_t seed = 7;
 
-    /** Worker threads for the permutation sweep (0 = hardware).
-     *  Never affects the result, only the wall time. */
+    /** Helper threads one solve recruits for the permutation sweep
+     *  (0 = one per hardware thread). The solving thread takes part
+     *  too, so a solve runs on threads + 1 participants; a
+     *  SolveScheduler running N solves at once splits those evenly
+     *  (solveWidth()). Never affects the result, only the wall time. */
     int threads = 0;
 };
+
+/** Participants (caller included) in each of @p concurrent_solves
+ *  simultaneous solves: opts.threads + 1 split evenly, at least 1.
+ *  The private-pool optimizeConv and a SolveScheduler both size their
+ *  solves by it, so a budget-1 scheduler solves exactly as wide. */
+std::size_t solveWidth(const OptimizerOptions &opts,
+                       int concurrent_solves = 1);
 
 /**
  * Parse an effort preset name: "fast", "standard", or "thorough"
@@ -114,8 +124,8 @@ IntTileVec microkernelTiles(const ConvProblem &p, const MachineSpec &m);
 Permutation microkernelPermutation();
 
 /** Run the full optimizer for one conv2d operator. Spawns a private
- *  ThreadPool sized by opts.threads (0 = hardware) for the duration
- *  of the call. */
+ *  ThreadPool of solveWidth(opts) - 1 helpers for the duration of the
+ *  call. */
 OptimizeOutput optimizeConv(const ConvProblem &p, const MachineSpec &m,
                             const OptimizerOptions &opts =
                                 OptimizerOptions());

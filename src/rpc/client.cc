@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
 #include <thread>
 #include <utility>
 
@@ -10,7 +9,6 @@
 #include "common/string_util.hh"
 #include "common/timer.hh"
 #include "fleet/backoff.hh"
-#include "model/multi_level.hh"
 #include "service/cache_key.hh"
 
 namespace mopt {
@@ -485,71 +483,27 @@ NetworkPlan
 ShardRouter::optimize(const std::vector<ConvProblem> &net,
                       RouteStats *stats_out)
 {
-    Timer total;
-
-    NetworkPlan plan;
-    plan.layers.resize(net.size());
-    plan.stats.layers = net.size();
     RouteStats rstats;
-
-    // Same first-seen-order dedupe as NetworkOptimizer::optimize, so
-    // remote, degraded, and local plans line up layer for layer.
-    struct Group
-    {
-        CacheKey key;
-        std::vector<std::size_t> layers;
-    };
-    std::vector<Group> groups;
-    std::map<std::uint64_t, std::vector<std::size_t>> by_hash;
-    for (std::size_t i = 0; i < net.size(); ++i) {
-        net[i].validate();
-        const CacheKey key = CacheKey::make(net[i], machine_, opts_);
-        auto &indices = by_hash[key.hash()];
-        bool found = false;
-        for (const std::size_t gi : indices) {
-            if (groups[gi].key == key) {
-                groups[gi].layers.push_back(i);
-                found = true;
-                break;
+    // The same dedupe and assembly as NetworkOptimizer::optimize, so
+    // remote, degraded, and local plans line up layer for layer; each
+    // unique key is one routed solve.
+    const NetworkPlan plan = assemblePlan(
+        net, machine_, opts_, [&](const std::vector<CacheKey> &keys) {
+            rstats.unique_shapes = keys.size();
+            std::vector<ScheduledSolve> solved;
+            solved.reserve(keys.size());
+            for (const CacheKey &key : keys) {
+                const double before = rstats.solve_seconds;
+                const RpcSolveResult r = solveOne(key, rstats);
+                ScheduledSolve s;
+                s.key = r.key;
+                s.sol = r.sol;
+                s.cache_hit = r.cache_hit;
+                s.solve_seconds = rstats.solve_seconds - before;
+                solved.push_back(std::move(s));
             }
-        }
-        if (!found) {
-            indices.push_back(groups.size());
-            groups.push_back(Group{key, {i}});
-        }
-    }
-    plan.stats.unique_shapes = groups.size();
-    rstats.unique_shapes = groups.size();
-
-    for (const Group &g : groups) {
-        const ConvProblem &rep = net[g.layers.front()];
-        const RpcSolveResult r = solveOne(g.key, rstats);
-
-        Candidate best;
-        best.config = r.sol.config;
-        best.perm_label = r.sol.perm_label;
-        // Deterministic model: re-deriving the breakdown locally
-        // reproduces the server's numbers exactly (the same contract
-        // NetworkOptimizer's cache-hit path relies on).
-        best.predicted =
-            evalMultiLevel(best.config, rep, machine_, opts_.parallel);
-
-        for (std::size_t li = 0; li < g.layers.size(); ++li) {
-            const std::size_t layer = g.layers[li];
-            LayerPlan &lp = plan.layers[layer];
-            lp.problem = net[layer];
-            lp.best = best;
-            lp.cache_hit = r.cache_hit;
-            lp.dedup_hit = li > 0;
-        }
-        if (r.cache_hit)
-            plan.stats.cache_hits++;
-        else
-            plan.stats.cache_misses++;
-    }
-
-    plan.stats.solve_seconds = rstats.solve_seconds;
-    plan.stats.total_seconds = total.seconds();
+            return solved;
+        });
     rstats.nodes = nodeStates();
     if (stats_out)
         *stats_out = rstats;

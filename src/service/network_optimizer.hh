@@ -6,25 +6,29 @@
  * (problem, machine, settings) solves are done exactly once — across
  * layers, across networks, and across process lifetimes.
  *
- * Each cache miss is solved by the existing optimizeConv pipeline,
- * which internally fans its (permutation combo x objective x start)
- * work items across ThreadPool::parallelForIndexed. Without a
- * SolveScheduler, misses are issued one at a time so every solve gets
- * the full pool width; with one, all miss groups are submitted up
- * front and joined in network order, so an N-miss cold network
- * pipelines across the scheduler's concurrency budget (and coalesces
- * with any other request solving the same shape). Either way the
- * per-layer results are deterministic — optimizeConv is bit-identical
- * for any worker width — so the returned plan is byte-identical
- * between serial and pipelined runs, and between a cold and a warm
- * run: a hit replays the stored winning ExecConfig and re-derives the
- * cost breakdown from the (deterministic) analytical model.
+ * Each unique shape is resolved through a SolveScheduler: every key is
+ * submitted up front and joined in network order, so an N-miss cold
+ * network pipelines across the scheduler's concurrency budget (and
+ * coalesces with any other request solving the same shape). A caller
+ * that passes no scheduler gets a budget-1 one over its cache, whose
+ * solves are as wide as optimizeConv's private pool (solveWidth()).
+ * Per-layer results are deterministic — optimizeConv is bit-identical
+ * for any worker width — so the returned plan is byte-identical for
+ * any budget, and between a cold and a warm run: a hit replays the
+ * stored winning ExecConfig and re-derives the cost breakdown from the
+ * (deterministic) analytical model.
+ *
+ * assemblePlan() is the one plan-assembly path: NetworkOptimizer and
+ * the fleet router (rpc/client.hh) differ only in how they resolve
+ * the unique keys.
  */
 
 #ifndef MOPT_SERVICE_NETWORK_OPTIMIZER_HH
 #define MOPT_SERVICE_NETWORK_OPTIMIZER_HH
 
 #include <cstddef>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -60,11 +64,11 @@ struct NetworkPlanStats
     double total_seconds = 0;      //!< Wall time of the whole call.
 
     /** Misses that joined another request's in-flight solve instead
-     *  of running one (scheduler-backed runs only). */
+     *  of running one. */
     std::size_t coalesced = 0;
 
-    /** Scheduler-lifetime peak of simultaneous solves (0 when this
-     *  run solved serially without a scheduler). */
+    /** Scheduler-lifetime peak of simultaneous solves (0 for a fleet
+     *  router's plan, whose solves run on the servers). */
     int peak_concurrency = 0;
 
     /** cache_hits / unique_shapes (1 when there was nothing to do). */
@@ -88,11 +92,43 @@ struct NetworkPlan
     std::string str() const;
 };
 
+/** The layers of a network that share one cache key. */
+struct KeyGroup
+{
+    CacheKey key;
+    std::vector<std::size_t> layers; //!< Indices, in network order.
+};
+
+/** Validate @p net and group its layers by CacheKey, groups in
+ *  first-seen order — the order every front end solves them in. */
+std::vector<KeyGroup> groupByKey(const std::vector<ConvProblem> &net,
+                                 const MachineSpec &machine,
+                                 const OptimizerOptions &opts);
+
+/** Resolves unique keys to solutions: one ScheduledSolve per key, in
+ *  the keys' order. May throw (a deadline, an unreachable fleet). */
+using PlanResolver = std::function<std::vector<ScheduledSolve>(
+    const std::vector<CacheKey> &)>;
+
+/**
+ * The one plan-assembly path: dedupe @p net by CacheKey (groupByKey),
+ * call @p resolve once with the unique keys, re-derive each winner's
+ * cost breakdown from the analytical model, and fill the per-layer
+ * plans and the run's statistics (all but peak_concurrency). The
+ * breakdown is a pure function of (config, problem, machine), so the
+ * plan is the same whether a key hit, coalesced, or was solved.
+ */
+NetworkPlan assemblePlan(const std::vector<ConvProblem> &net,
+                         const MachineSpec &machine,
+                         const OptimizerOptions &opts,
+                         const PlanResolver &resolve);
+
 /**
  * Batch front-end over optimizeConv. Holds the machine, the search
- * settings, and an optional solution cache shared across calls (and,
- * via its journal, across runs). Thread-safe: concurrent optimize()
- * calls only share the SolutionCache and SolveScheduler, which are
+ * settings, and the SolveScheduler every key is resolved through,
+ * whose optional solution cache is shared across calls (and, via its
+ * journal, across runs). Thread-safe: concurrent optimize() calls
+ * only share the SolutionCache and SolveScheduler, which are
  * themselves thread-safe.
  */
 class NetworkOptimizer
@@ -101,13 +137,14 @@ class NetworkOptimizer
     /**
      * @param machine    target machine description
      * @param opts       search settings applied to every layer
-     * @param cache      optional solution cache (not owned; may be null)
+     * @param cache      optional solution cache (not owned; may be
+     *                   null), used when @p scheduler is null
      * @param scheduler  optional single-flight solve scheduler (not
      *                   owned). When given, it must be built from the
-     *                   same machine and settings (checked), misses
-     *                   pipeline across its concurrency budget, and
+     *                   same machine and settings (checked) and
      *                   @p cache should be the scheduler's cache.
-     *                   When null, misses solve serially in-place.
+     *                   When null, the optimizer owns a budget-1
+     *                   scheduler over @p cache.
      */
     NetworkOptimizer(const MachineSpec &machine,
                      const OptimizerOptions &opts,
@@ -136,7 +173,7 @@ class NetworkOptimizer
   private:
     MachineSpec machine_;
     OptimizerOptions opts_;
-    SolutionCache *cache_;
+    std::unique_ptr<SolveScheduler> owned_; //!< When none was given.
     SolveScheduler *scheduler_;
 };
 

@@ -66,13 +66,7 @@ SolveScheduler::SolveScheduler(const MachineSpec &machine,
       // enqueues into it anyway).
       pool_([&] {
           options_.concurrency = std::max(1, options_.concurrency);
-          const std::size_t width = std::max<std::size_t>(
-              1, opts_.threads > 0
-                     ? static_cast<std::size_t>(opts_.threads)
-                     : std::max(1u,
-                                std::thread::hardware_concurrency()));
-          solve_width_ = std::max<std::size_t>(
-              1, width / static_cast<std::size_t>(options_.concurrency));
+          solve_width_ = mopt::solveWidth(opts_, options_.concurrency);
           return std::max<std::size_t>(
               1, static_cast<std::size_t>(options_.concurrency) *
                      (solve_width_ - 1));

@@ -22,9 +22,11 @@
  *    flights; distinct shapes solve concurrently, up to the budget.
  *  - **Width partitioning.** Runners share one ThreadPool and each
  *    solve runs on a ThreadPool::SubWidth handle of
- *    max(1, total width / concurrency) participants, so N concurrent
- *    solves split the machine instead of oversubscribing it
- *    (total width = OptimizerOptions::threads, 0 = hardware).
+ *    solveWidth(opts, concurrency) participants, so N concurrent
+ *    solves split the OptimizerOptions::threads + 1 participants of
+ *    one private-pool solve instead of oversubscribing the machine;
+ *    at concurrency 1 a solve is exactly as wide as optimizeConv's
+ *    private pool.
  *  - **Determinism.** optimizeConv is bit-identical for any worker
  *    width (results reduce in job order — see docs/ARCHITECTURE.md),
  *    so plans are byte-identical for any `concurrency`, and
@@ -152,8 +154,8 @@ class SolveScheduler
     /**
      * @param machine  machine description every solve targets
      * @param opts     search settings applied to every solve
-     *                 (opts.threads is the *total* pool width that
-     *                 gets partitioned; 0 = hardware)
+     *                 (opts.threads + 1 participants are partitioned
+     *                 across the budget; see solveWidth())
      * @param cache    shared solution cache (not owned; may be null —
      *                 then only in-flight coalescing deduplicates)
      * @param options  concurrency budget

@@ -198,6 +198,25 @@ TEST(SolveScheduler, ExceptionReachesEveryWaiterAndKeyIsRetryable)
     EXPECT_GT(ok.sol.predicted_seconds, 0.0);
 }
 
+TEST(SolveScheduler, BudgetOneSolveWidthMatchesPrivatePool)
+{
+    // optimizeConv's private pool runs `threads` helpers plus the
+    // caller; a budget-1 scheduler must solve exactly as wide.
+    OptimizerOptions opts = fastOpts();
+    opts.threads = 3;
+    EXPECT_EQ(solveWidth(opts), 4u);
+    const SolveScheduler one(tiny(), opts, nullptr,
+                             SolveSchedulerOptions{1});
+    EXPECT_EQ(one.solveWidth(), 4u);
+    // A larger budget splits those participants evenly.
+    const SolveScheduler two(tiny(), opts, nullptr,
+                             SolveSchedulerOptions{2});
+    EXPECT_EQ(two.solveWidth(), 2u);
+    const SolveScheduler eight(tiny(), opts, nullptr,
+                               SolveSchedulerOptions{8});
+    EXPECT_EQ(eight.solveWidth(), 1u);
+}
+
 TEST(NetworkOptimizer, SchedulerPlanIsByteIdenticalToSerial)
 {
     // A net with duplicate shapes, so dedupe + scheduler interact.

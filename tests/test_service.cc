@@ -657,6 +657,46 @@ TEST(NetworkOptimizer, ColdAndWarmPlansAreIdentical)
     std::remove(path.c_str());
 }
 
+TEST(NetworkOptimizer, ExpiredDeadlineThrowsWithoutScheduler)
+{
+    const std::vector<ConvProblem> net = {smallProblem(), smallProblem(16, 8),
+                                          smallProblem()};
+    // No cache, no scheduler: the optimizer resolves through its own
+    // budget-1 scheduler, and a request already past its deadline
+    // is refused.
+    const NetworkOptimizer nopt(tinyTestMachine(), fastOpts());
+    EXPECT_THROW(nopt.optimize(net, Deadline::in(0)), DeadlineExceeded);
+
+    // The refusal does not poison a retry.
+    const NetworkOptimizer fresh(tinyTestMachine(), fastOpts());
+    EXPECT_EQ(nopt.optimize(net, Deadline::never()).str(),
+              fresh.optimize(net).str());
+}
+
+TEST(NetworkOptimizer, PlanMatchesDirectOptimizeConv)
+{
+    // Each layer's plan is exactly optimizeConv's winner: the cache,
+    // the scheduler and the re-derived breakdown change nothing.
+    const std::vector<ConvProblem> net = {smallProblem(), smallProblem(16, 8),
+                                          smallProblem(24, 8, 7)};
+    const MachineSpec m = tinyTestMachine();
+    SolutionCache cache;
+    const NetworkOptimizer nopt(m, fastOpts(), &cache);
+    const NetworkPlan plan = nopt.optimize(net);
+    ASSERT_EQ(plan.layers.size(), net.size());
+    for (std::size_t i = 0; i < net.size(); ++i) {
+        const OptimizeOutput out = optimizeConv(net[i], m, fastOpts());
+        ASSERT_FALSE(out.candidates.empty());
+        const Candidate &want = out.candidates.front();
+        const Candidate &got = plan.layers[i].best;
+        EXPECT_EQ(got.config, want.config) << net[i].summary();
+        EXPECT_EQ(got.perm_label, want.perm_label) << net[i].summary();
+        EXPECT_EQ(got.predicted.total_seconds,
+                  want.predicted.total_seconds)
+            << net[i].summary();
+    }
+}
+
 TEST(NetworkOptimizer, NetworkBuildersAreWellFormed)
 {
     const std::vector<ConvProblem> resnet = resnet18Network();

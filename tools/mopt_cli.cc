@@ -350,9 +350,10 @@ runNetwork(int argc, char **argv)
                   << " concurrent solves (plan unchanged)\n";
     std::cout << "\n";
 
-    // --solve-concurrency 1 keeps the serial in-place miss loop (the
-    // historical behavior); anything higher pipelines misses through
-    // a single-flight scheduler. The plan is byte-identical.
+    // --solve-concurrency 1 lets the optimizer own a budget-1
+    // scheduler (one solve at a time, full width); anything higher
+    // pipelines misses across a shared budget. The plan is
+    // byte-identical.
     std::unique_ptr<SolveScheduler> sched;
     if (solve_concurrency > 1)
         sched = std::make_unique<SolveScheduler>(
