@@ -107,7 +107,12 @@ ThreadPool::parallelForImpl(std::size_t count,
         for (std::size_t i = 0; i < helpers; ++i)
             tasks_.push(run);
     }
-    cv_.notify_all();
+    // Wake one worker per task: waking the whole pool for fewer tasks
+    // makes threads that find no work compete for the CPUs with the
+    // ones that do, and a participant preempted mid-iteration stalls
+    // the caller's wait.
+    for (std::size_t i = 0; i < helpers; ++i)
+        cv_.notify_one();
 
     // The caller participates too, then waits for stragglers. `body` is
     // only dereferenced for claimed iterations, all of which complete
@@ -194,7 +199,8 @@ ThreadPool::parallelForIndexedImpl(
         for (std::size_t i = 0; i < helpers; ++i)
             tasks_.push([run, i] { run(i + 1); });
     }
-    cv_.notify_all();
+    for (std::size_t i = 0; i < helpers; ++i) // one worker per task
+        cv_.notify_one();
 
     run(0); // the caller participates as worker 0
     {

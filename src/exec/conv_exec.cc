@@ -1,6 +1,7 @@
 #include "exec/conv_exec.hh"
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "common/logging.hh"
@@ -47,6 +48,29 @@ runRegion(const ConvProblem &p, const RegisterTiler &tiler, float *acc,
     });
 }
 
+/**
+ * The depthwise counterpart of runRegion: group block @p gb's
+ * kKU groups walk the region's L2, L1 and register tiles together,
+ * exactly as each of them would alone (the per-group K and C extents
+ * are 1, so every register tile is one (n, h, w0, wb) run).
+ */
+void
+runDepthwiseRegion(const DepthwiseTiler &tiler, const ExecConfig &cfg,
+                   const TileBounds &region, std::int64_t gb)
+{
+    walkTilesAtLevel(cfg, LvlL2, region, [&](const TileBounds &l2) {
+        walkTilesAtLevel(cfg, LvlL1, l2, [&](const TileBounds &l1) {
+            walkRegisterTiles(
+                cfg, l1,
+                [&](std::int64_t n, std::int64_t h, std::int64_t w0,
+                    std::int64_t wb, std::int64_t, std::int64_t) {
+                    tiler(gb, n, h, w0, wb, l1.lo[DimR], l1.hi[DimR],
+                          l1.lo[DimS], l1.hi[DimS]);
+                });
+        });
+    });
+}
+
 } // namespace
 
 ExecStats
@@ -59,56 +83,102 @@ runConv(const ConvProblem &p, const Tensor4 &in, const Tensor4 &ker,
 
     Timer total;
 
-    Timer pack_timer;
-    const PackedKernel pk(ker, MicroKernelShape::kVecLen);
-    const double pack_seconds = pack_timer.seconds();
-
     std::int64_t want = 1;
     for (std::int64_t f : cfg.par)
         want *= f;
     ThreadPool::SubWidth pool = globalPool().subWidth(
         static_cast<std::size_t>(threads > 0 ? threads : want));
 
-    // K-contiguous accumulator, one [N][H][W][K/G] slab per group.
-    const std::int64_t kg = p.kPerGroup();
-    const std::int64_t plane = p.h * p.w;
-    std::vector<float> acc(
-        static_cast<std::size_t>(p.groups * p.n * plane * kg), 0.0f);
+    Timer pack_timer;
+    const PackedKernel pk(ker, MicroKernelShape::kVecLen, pool);
+    const double pack_seconds = pack_timer.seconds();
 
-    const RegisterTiler tiler(p, in, pk, kg, 1);
+    // K-contiguous accumulator: `blocks` slabs of [N][H][W][lanes],
+    // block b holding output channels [b * lanes, b * lanes + lanes).
+    // A block is one group, or kKU groups of a depthwise layer (one
+    // input and one output channel per group).
+    constexpr std::int64_t kKU = MicroKernelShape::kKU;
+    const bool depthwise =
+        p.kPerGroup() == 1 && p.cPerGroup() == 1 && p.groups > 1;
+    const std::int64_t lanes = depthwise ? kKU : p.kPerGroup();
+    const std::int64_t blocks = (p.k + lanes - 1) / lanes;
+    const std::int64_t plane = p.h * p.w;
+    const std::unique_ptr<float[]> acc(
+        new float[static_cast<std::size_t>(blocks * p.n * plane * lanes)]);
+    forRowBlocks(pool, blocks * p.n, plane, lanes,
+                 [&](std::int64_t slab, std::int64_t lo, std::int64_t hi) {
+                     std::fill(acc.get() + (slab * plane + lo) * lanes,
+                               acc.get() + (slab * plane + hi) * lanes,
+                               0.0f);
+                 });
 
     // The group index is the implicit outermost loop (problem.hh): the
-    // walkers cover one group's [0, k/G) x [0, c/G) channel space.
-    const TileBounds full = fullRegion(p);
-    walkTilesAtLevel(cfg, LvlL3, full, [&](const TileBounds &l3) {
-        // Sec. 7: parallelize within the L3 tile. Chunks along
-        // non-reduction dims write disjoint outputs, and so do groups,
-        // so every (group, chunk) pair of the tile joins one fork-join
-        // with no synchronization inside it.
-        const std::vector<TileBounds> chunks = splitRegion(l3, cfg.par);
-        const std::size_t count =
-            chunks.size() * static_cast<std::size_t>(p.groups);
-        const auto body = [&](std::size_t i) {
-            runRegion(p, tiler, acc.data(), cfg,
-                      chunks[i % chunks.size()],
-                      static_cast<std::int64_t>(i / chunks.size()));
-        };
-        // One item or one thread runs inline, queueing no task.
-        if (count == 1 || pool.width() == 1) {
-            for (std::size_t i = 0; i < count; ++i)
-                body(i);
-        } else {
-            pool.parallelFor(count, body);
-        }
-    });
+    // walkers cover one group's [0, k/G) x [0, c/G) channel space, and
+    // the blocks of groups run that same nest side by side.
+    const auto walk = [&](const auto &run_region) {
+        walkTilesAtLevel(cfg, LvlL3, fullRegion(p), [&](const TileBounds &l3) {
+            // Sec. 7: parallelize within the L3 tile. Chunks along
+            // non-reduction dims write disjoint outputs, and so do
+            // blocks, so every (block, chunk) pair of the tile joins
+            // one fork-join with no synchronization inside it.
+            const std::vector<TileBounds> chunks = splitRegion(l3, cfg.par);
+            const std::size_t count =
+                chunks.size() * static_cast<std::size_t>(blocks);
+            const auto body = [&](std::size_t i) {
+                run_region(chunks[i % chunks.size()],
+                           static_cast<std::int64_t>(i / chunks.size()));
+            };
+            // One item or one thread runs inline, queueing no task.
+            if (count == 1 || pool.width() == 1) {
+                for (std::size_t i = 0; i < count; ++i)
+                    body(i);
+            } else {
+                pool.parallelFor(count, body);
+            }
+        });
+    };
 
-    // Write NKHW once: each group's [H*W][K/G] slab is the transpose
-    // of its channels' output planes.
-    for (std::int64_t g = 0; g < p.groups; ++g)
-        for (std::int64_t n = 0; n < p.n; ++n)
-            transposeInto(acc.data() + (g * p.n + n) * plane * kg, plane,
-                          kg, kg, out.data() + out.offset(n, g * kg, 0, 0),
-                          plane);
+    if (depthwise) {
+        // Group-block the input, [G/kKU][N][inH][inW][kKU], with zero
+        // lanes past G, so a vector load reads kKU groups' pixels.
+        const std::int64_t in_plane = p.inH() * p.inW();
+        const std::unique_ptr<float[]> in_blocked(new float[
+            static_cast<std::size_t>(blocks * p.n * in_plane * kKU)]);
+        forRowBlocks(
+            pool, blocks * p.n, p.inH(), p.inW() * kKU,
+            [&](std::int64_t slab, std::int64_t lo, std::int64_t hi) {
+                const std::int64_t g0 = slab / p.n * kKU, n = slab % p.n;
+                const std::int64_t live = std::min(kKU, p.groups - g0);
+                const std::int64_t px0 = lo * p.inW(), px1 = hi * p.inW();
+                float *dst = in_blocked.get() + (slab * in_plane + px0) * kKU;
+                transposeInto(in.data() + in.offset(n, g0, lo, 0), live,
+                              px1 - px0, in_plane, dst, kKU);
+                if (live < kKU)
+                    for (std::int64_t px = px0; px < px1; ++px, dst += kKU)
+                        std::fill(dst + live, dst + kKU, 0.0f);
+            });
+        const DepthwiseTiler tiler(p, in_blocked.get(), pk, acc.get());
+        walk([&](const TileBounds &region, std::int64_t gb) {
+            runDepthwiseRegion(tiler, cfg, region, gb);
+        });
+    } else {
+        const RegisterTiler tiler(p, in, pk, lanes, 1);
+        walk([&](const TileBounds &region, std::int64_t g) {
+            runRegion(p, tiler, acc.get(), cfg, region, g);
+        });
+    }
+
+    // Write NKHW: each slab's [H*W][lanes] is the transpose of its
+    // channels' output planes.
+    forRowBlocks(pool, blocks * p.n, plane, lanes,
+                 [&](std::int64_t slab, std::int64_t lo, std::int64_t hi) {
+                     const std::int64_t k0 = slab / p.n * lanes;
+                     const std::int64_t n = slab % p.n;
+                     transposeInto(acc.get() + (slab * plane + lo) * lanes,
+                                   hi - lo, std::min(lanes, p.k - k0), lanes,
+                                   out.data() + out.offset(n, k0, 0, 0) + lo,
+                                   plane);
+                 });
 
     ExecStats stats;
     stats.seconds = total.seconds();

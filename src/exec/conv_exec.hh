@@ -7,6 +7,17 @@
  * threads along the parallel split dims (Sec. 7). Kernel packing
  * (Sec. 6) happens inside and its cost is attributed to the run, as
  * in the paper's measurements.
+ *
+ * Tiles accumulate into a K-contiguous buffer of channel blocks: one
+ * block per group, or, on depthwise layers (one input and one output
+ * channel per group), one block per 16 groups. A depthwise block's
+ * groups walk the plan's tiles side by side, one vector lane each,
+ * from a group-blocked copy of the input, so every output is summed
+ * in the same order as if its channel ran alone. Every phase of a run
+ * uses the same threads: the kernel is packed in row blocks, the
+ * accumulator is zeroed, every (block, chunk) pair of an L3 tile
+ * joins one fork-join, and the accumulator is transposed into NKHW
+ * split over (block, n, row block).
  */
 
 #ifndef MOPT_EXEC_CONV_EXEC_HH

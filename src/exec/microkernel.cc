@@ -64,8 +64,7 @@ MOPT_UNROLL_POINTS
     }
     // A full block into K-contiguous output is two vector
     // read-modify-writes per point. A partial block, or NKHW output
-    // (computeRegisterTile), goes lane by lane; on depthwise layers'
-    // one-channel blocks that beats masked vector updates.
+    // (computeRegisterTile), goes lane by lane.
     const bool full = t.kb == KU && t.out_k == 1;
 MOPT_UNROLL_POINTS
     for (int i = 0; i < WB; ++i) {
@@ -97,7 +96,76 @@ avx2TileAnyW(const RegisterTile &t)
     }
 }
 
+/**
+ * The depthwise tile: the same 2 * WB accumulators, but each lane is
+ * its own group, so every step loads the points' 16 input lanes
+ * instead of broadcasting one.
+ */
+template <int WB>
+__attribute__((target("avx2,fma"))) void
+avx2DepthwiseTileW(const RegisterTile &t)
+{
+    const std::int64_t in_w = t.in_w, in_s = t.in_s, ker_s = t.ker_s;
+    __m256 lo[WB], hi[WB];
+MOPT_UNROLL_POINTS
+    for (int i = 0; i < WB; ++i) {
+        lo[i] = _mm256_setzero_ps();
+        hi[i] = _mm256_setzero_ps();
+    }
+    for (std::int64_t r = 0; r < t.nr; ++r) {
+        const float *ip = t.in + r * t.in_r;
+        const float *kp = t.ker + r * t.ker_r;
+        for (std::int64_t s = 0; s < t.ns; ++s, ip += in_s, kp += ker_s) {
+            const __m256 k_lo = _mm256_loadu_ps(kp);
+            const __m256 k_hi = _mm256_loadu_ps(kp + VL);
+MOPT_UNROLL_POINTS
+            for (int i = 0; i < WB; ++i) {
+                lo[i] = _mm256_fmadd_ps(_mm256_loadu_ps(ip + i * in_w),
+                                        k_lo, lo[i]);
+                hi[i] = _mm256_fmadd_ps(
+                    _mm256_loadu_ps(ip + i * in_w + VL), k_hi, hi[i]);
+            }
+        }
+    }
+MOPT_UNROLL_POINTS
+    for (int i = 0; i < WB; ++i) {
+        float *o = t.out + i * t.out_w;
+        _mm256_storeu_ps(o, _mm256_add_ps(_mm256_loadu_ps(o), lo[i]));
+        _mm256_storeu_ps(o + VL,
+                         _mm256_add_ps(_mm256_loadu_ps(o + VL), hi[i]));
+    }
+}
+
+__attribute__((target("avx2,fma"))) void
+avx2DepthwiseTileAnyW(const RegisterTile &t)
+{
+    switch (t.wb) {
+    case 1: avx2DepthwiseTileW<1>(t); break;
+    case 2: avx2DepthwiseTileW<2>(t); break;
+    case 3: avx2DepthwiseTileW<3>(t); break;
+    case 4: avx2DepthwiseTileW<4>(t); break;
+    case 5: avx2DepthwiseTileW<5>(t); break;
+    default: avx2DepthwiseTileW<WU>(t); break;
+    }
+}
+
 #endif // MOPT_X86_TILE
+
+/** Whether this process runs the AVX2+FMA tiles; decided once. */
+bool
+hostHasAvx2Fma()
+{
+#if defined(MOPT_X86_TILE)
+    static const bool has = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("avx2") &&
+               __builtin_cpu_supports("fma");
+    }();
+    return has;
+#else
+    return false;
+#endif
+}
 
 } // namespace
 
@@ -124,13 +192,39 @@ portableTile(const RegisterTile &t)
             t.out[wi * t.out_w + ki * t.out_k] += acc[wi][ki];
 }
 
+void
+portableDepthwiseTile(const RegisterTile &t)
+{
+    float acc[WU][KU] = {};
+    for (std::int64_t r = 0; r < t.nr; ++r) {
+        const float *ip = t.in + r * t.in_r;
+        const float *kp = t.ker + r * t.ker_r;
+        for (std::int64_t s = 0; s < t.ns; ++s, ip += t.in_s, kp += t.ker_s)
+            for (int wi = 0; wi < t.wb; ++wi)
+                for (int gi = 0; gi < KU; ++gi)
+                    acc[wi][gi] += ip[wi * t.in_w + gi] * kp[gi];
+    }
+    for (int wi = 0; wi < t.wb; ++wi)
+        for (int gi = 0; gi < KU; ++gi)
+            t.out[wi * t.out_w + gi] += acc[wi][gi];
+}
+
 TileFn
 avx2Tile()
 {
 #if defined(MOPT_X86_TILE)
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+    if (hostHasAvx2Fma())
         return avx2TileAnyW;
+#endif
+    return nullptr;
+}
+
+TileFn
+avx2DepthwiseTile()
+{
+#if defined(MOPT_X86_TILE)
+    if (hostHasAvx2Fma())
+        return avx2DepthwiseTileAnyW;
 #endif
     return nullptr;
 }
@@ -138,8 +232,27 @@ avx2Tile()
 TileFn
 hostTile()
 {
-    static const TileFn tile = avx2Tile() ? avx2Tile() : portableTile;
-    return tile;
+    return hostHasAvx2Fma() ? avx2Tile() : portableTile;
+}
+
+TileFn
+hostDepthwiseTile()
+{
+    return hostHasAvx2Fma() ? avx2DepthwiseTile() : portableDepthwiseTile;
+}
+
+DepthwiseTiler::DepthwiseTiler(const ConvProblem &p, const float *in,
+                               const PackedKernel &pk, float *out)
+    : in_(in), out_(out), pk_(pk), n_(p.n), in_h_(p.inH()),
+      in_w_(p.inW()), h_(p.h), w_(p.w), stride_(p.stride),
+      dil_(p.dilation), tile_(hostDepthwiseTile()), base_()
+{
+    base_.in_w = stride_ * kKU;
+    base_.in_r = dil_ * in_w_ * kKU;
+    base_.in_s = dil_ * kKU;
+    base_.ker_s = pk.rowStride();
+    base_.ker_r = pk.kernelW() * base_.ker_s;
+    base_.out_w = kKU;
 }
 
 RegisterTiler::RegisterTiler(const ConvProblem &p, const Tensor4 &in,

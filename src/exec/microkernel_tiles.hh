@@ -1,11 +1,12 @@
 /**
  * @file
  * Internals of the microkernel, shared by the executor and its tests
- * only: the register tile as raw pointers and strides, the two tile
- * implementations, and the tile splitter both computeRegisterTile and
- * runConv call. The output is addressed through strides, so one tile
- * accumulates into NKHW output (computeRegisterTile) as well as into
- * runConv's K-contiguous accumulator.
+ * only: the register tile as raw pointers and strides, the dense and
+ * depthwise tile implementations, and the tile splitters runConv (and,
+ * for dense tiles, computeRegisterTile) call. The output is addressed
+ * through strides, so one dense tile accumulates into NKHW output
+ * (computeRegisterTile) as well as into runConv's K-contiguous
+ * accumulator.
  */
 
 #ifndef MOPT_EXEC_MICROKERNEL_TILES_HH
@@ -29,6 +30,18 @@ namespace mopt {
  * for wi < wb, ki < kb. The kernel always reads kKU weight lanes per
  * (c, r, s) step, so ker[kKU - 1 + ...] must be readable; the packed
  * kernel's padding guarantees it.
+ *
+ * A depthwise tile reads the same struct with one difference: lane ki
+ * is a group of its own, with one input channel, so the input is
+ * lane-contiguous too and there is no c reduction:
+ *
+ *   out[wi * out_w + ki] +=
+ *     sum over r < nr, s < ns (in that order) of
+ *       in[wi * in_w + r * in_r + s * in_s + ki] *
+ *       ker[ki + r * ker_r + s * ker_s]
+ *
+ * for wi < wb and all kKU lanes (in_c, ker_c, out_k, nc and kb are
+ * not read).
  */
 struct RegisterTile
 {
@@ -48,13 +61,23 @@ using TileFn = void (*)(const RegisterTile &);
 /** The portable C++ tile; runs on any host. */
 void portableTile(const RegisterTile &t);
 
+/** The portable C++ depthwise tile; runs on any host. */
+void portableDepthwiseTile(const RegisterTile &t);
+
 /** The AVX2+FMA tile, or nullptr when the build does not target x86
  *  or the host CPU lacks AVX2 or FMA. */
 TileFn avx2Tile();
 
+/** The AVX2+FMA depthwise tile, or nullptr exactly when avx2Tile()
+ *  is. */
+TileFn avx2DepthwiseTile();
+
 /** The tile this process runs: avx2Tile() when available, else
- *  portableTile. Chosen once. */
+ *  portableTile. The instruction set is chosen once per process. */
 TileFn hostTile();
+
+/** The depthwise tile of the same instruction set as hostTile(). */
+TileFn hostDepthwiseTile();
 
 /**
  * computeRegisterTile's contract with a strided output, with the
@@ -105,6 +128,58 @@ class RegisterTiler
     const Tensor4 &in_;
     const PackedKernel &pk_;
     std::int64_t stride_, dil_;
+    TileFn tile_;
+    RegisterTile base_; //!< Strides; per-call fields are filled in.
+};
+
+/**
+ * Depthwise convolution (one input and one output channel per group)
+ * run kKU groups per vector. The input and the output are
+ * group-blocked, [G/kKU][N][rows][cols][kKU], with lanes past G zero
+ * in the input; the packed kernel's rows are already group-contiguous
+ * because K = G, so group block gb's weights start at
+ * pk.row(0, r, s) + gb * kKU. A call computes the register tile
+ * (n, h, w0..w0+wb) of block gb over window rows [r0, r1) and columns
+ * [s0, s1), split into hostDepthwiseTile() calls of at most kWU
+ * points.
+ */
+class DepthwiseTiler
+{
+  public:
+    DepthwiseTiler(const ConvProblem &p, const float *in,
+                   const PackedKernel &pk, float *out);
+
+    void
+    operator()(std::int64_t gb, std::int64_t n, std::int64_t h,
+               std::int64_t w0, std::int64_t wb, std::int64_t r0,
+               std::int64_t r1, std::int64_t s0, std::int64_t s1) const
+    {
+        RegisterTile t = base_;
+        t.nr = r1 - r0;
+        t.ns = s1 - s0;
+        t.ker = pk_.row(0, r0, s0) + gb * kKU;
+        const float *in_row =
+            in_ + (((gb * n_ + n) * in_h_ + h * stride_ + r0 * dil_) *
+                       in_w_ +
+                   w0 * stride_ + s0 * dil_) *
+                      kKU;
+        float *out_row = out_ + (((gb * n_ + n) * h_ + h) * w_ + w0) * kKU;
+        for (std::int64_t wi = 0; wi < wb; wi += kWU) {
+            t.wb = static_cast<int>(std::min(kWU, wb - wi));
+            t.in = in_row + wi * t.in_w;
+            t.out = out_row + wi * kKU;
+            tile_(t);
+        }
+    }
+
+  private:
+    static constexpr std::int64_t kWU = MicroKernelShape::kWU;
+    static constexpr std::int64_t kKU = MicroKernelShape::kKU;
+
+    const float *in_;
+    float *out_;
+    const PackedKernel &pk_;
+    std::int64_t n_, in_h_, in_w_, h_, w_, stride_, dil_;
     TileFn tile_;
     RegisterTile base_; //!< Strides; per-call fields are filled in.
 };

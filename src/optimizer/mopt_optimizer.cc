@@ -333,8 +333,9 @@ IntTileVec
 microkernelTiles(const ConvProblem &p, const MachineSpec &m)
 {
     IntTileVec t{1, 1, 1, 1, 1, 1, 1};
-    // Clamp to the per-group K extent: a depthwise layer (k/groups ==
-    // 1) cannot vectorize over output channels at all.
+    // Clamp to the per-group K extent: the planner sees K = 1 on a
+    // depthwise layer (k/groups == 1), and the executor vectorizes
+    // across groups instead (16 per vector) without changing the plan.
     t[DimK] = std::min<std::int64_t>(2 * m.vec_lanes, p.kPerGroup());
     t[DimW] = std::min<std::int64_t>(6, p.w);
     // The whole filter window, so the Out block is not reloaded once

@@ -7,17 +7,51 @@
 namespace mopt {
 
 PackedKernel::PackedKernel(const Tensor4 &ker, int vec_len)
-    : vec_len_(vec_len), k_(ker.dim(0)), c_(ker.dim(1)), r_(ker.dim(2)),
-      s_(ker.dim(3))
+{
+    allocate(ker, vec_len);
+    packRows(ker, 0, c_ * r_ * s_);
+}
+
+PackedKernel::PackedKernel(const Tensor4 &ker, int vec_len,
+                           ThreadPool::SubWidth pool)
+{
+    allocate(ker, vec_len);
+    forRowBlocks(pool, 1, c_ * r_ * s_, kp_,
+                 [&](std::int64_t, std::int64_t lo, std::int64_t hi) {
+                     packRows(ker, lo, hi);
+                 });
+}
+
+void
+PackedKernel::allocate(const Tensor4 &ker, int vec_len)
 {
     checkUser(vec_len >= 1, "PackedKernel: vec_len must be >= 1");
+    vec_len_ = vec_len;
+    k_ = ker.dim(0);
+    c_ = ker.dim(1);
+    r_ = ker.dim(2);
+    s_ = ker.dim(3);
     kb_ = (k_ + vec_len_ - 1) / vec_len_;
     kp_ = kb_ * vec_len_;
-    const std::int64_t rows = c_ * r_ * s_;
-    data_.assign(static_cast<std::size_t>(rows * kp_ + 2 * vec_len_),
-                 0.0f);
+    // Left uninitialized: packRows writes every row lane, so only the
+    // trailing padding needs zeroing here.
+    size_ = c_ * r_ * s_ * kp_ + 2 * vec_len_;
+    data_.reset(new float[static_cast<std::size_t>(size_)]);
+    std::fill(data_.get() + size_ - 2 * vec_len_, data_.get() + size_,
+              0.0f);
+}
+
+void
+PackedKernel::packRows(const Tensor4 &ker, std::int64_t j0,
+                       std::int64_t j1)
+{
     // KCRS is a K x (C*R*S) matrix; the packed rows are its transpose.
-    transposeInto(ker.data(), k_, rows, rows, data_.data(), kp_);
+    const std::int64_t rows = c_ * r_ * s_;
+    float *dst = data_.get() + j0 * kp_;
+    transposeInto(ker.data() + j0, k_, j1 - j0, rows, dst, kp_);
+    if (kp_ > k_)
+        for (std::int64_t j = j0; j < j1; ++j, dst += kp_)
+            std::fill(dst + k_, dst + kp_, 0.0f);
 }
 
 Tensor4

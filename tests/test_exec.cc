@@ -426,9 +426,114 @@ TEST(MicroKernel, PortableAndAvx2TilesAgree)
     }
 }
 
+/** The portable and AVX2 depthwise tiles compute the same thing on
+ *  random tiles: 16 lane-contiguous groups, strided points and window
+ *  steps, partial point counts. */
+TEST(MicroKernel, PortableAndAvx2DepthwiseTilesAgree)
+{
+    const TileFn avx2 = avx2DepthwiseTile();
+    if (avx2 == nullptr)
+        GTEST_SKIP() << "host has no AVX2+FMA";
+    constexpr int KU = MicroKernelShape::kKU;
+    Rng rng(78);
+    std::vector<float> in(8192), ker(4096);
+    for (float &v : in)
+        v = static_cast<float>(rng.uniform01() * 2.0 - 1.0);
+    for (float &v : ker)
+        v = static_cast<float>(rng.uniform01() * 2.0 - 1.0);
+    for (int trial = 0; trial < 200; ++trial) {
+        RegisterTile t;
+        t.nr = rng.uniformInt(1, 3);
+        t.ns = rng.uniformInt(1, 3);
+        t.wb = static_cast<int>(rng.uniformInt(1, MicroKernelShape::kWU));
+        t.in_s = KU * rng.uniformInt(1, 2);
+        t.in_w = KU * rng.uniformInt(1, 2);
+        t.in_r = KU * 20;
+        t.in = in.data() + rng.uniformInt(0, 7);
+        t.ker_s = 24;
+        t.ker_r = t.ker_s * 3;
+        t.ker = ker.data() + rng.uniformInt(0, 15);
+        t.out_w = KU + rng.uniformInt(0, 3);
+        std::vector<float> a(256), b(256);
+        for (std::size_t i = 0; i < a.size(); ++i)
+            a[i] = b[i] = static_cast<float>(i % 13);
+        t.out = a.data();
+        portableDepthwiseTile(t);
+        t.out = b.data();
+        avx2(t);
+        for (std::size_t i = 0; i < a.size(); ++i)
+            ASSERT_NEAR(a[i], b[i], 1e-4) << "trial " << trial << " at " << i;
+    }
+}
+
+/**
+ * Depthwise layers run 16 groups per vector, yet every output is
+ * summed exactly as when its channel runs alone as a dense
+ * k = c = groups = 1 conv under the same tiling: bit-identical, at
+ * group counts with and without a partial last block, with stride,
+ * dilation, a batch of 2, a split filter window and a parallel split,
+ * on 1 and 3 threads.
+ */
+TEST(ConvExec, DepthwiseBitIdenticalToPerChannelDense)
+{
+    struct Case
+    {
+        std::int64_t groups;
+        int stride, dilation;
+    };
+    for (const Case c : {Case{16, 1, 1}, Case{24, 2, 1}, Case{40, 1, 2},
+                         Case{40, 2, 1}, Case{24, 1, 2}}) {
+        ConvProblem p;
+        p.name = "dw";
+        p.n = 2;
+        p.k = p.c = p.groups = c.groups;
+        p.r = p.s = 3;
+        p.h = 19; // at 40 groups, big enough to fork the data phases
+        p.w = 19;
+        p.stride = c.stride;
+        p.dilation = c.dilation;
+        p.validate();
+        ConvProblem q = p;
+        q.k = q.c = q.groups = 1;
+        q.validate();
+        ExecConfig cfg = defaultConfig(q);
+        cfg.tiles[LvlL3][DimH] = 5;
+        cfg.tiles[LvlL1][DimS] = 2;
+        cfg.par = {1, 1, 1, 1, 1, 2, 3};
+
+        Rng rng(static_cast<std::uint64_t>(c.groups * 10 + c.stride));
+        Tensor4 in = makeInput(p), ker = makeKernel(p);
+        in.fillRandom(rng);
+        ker.fillRandom(rng);
+        for (const int threads : {1, 3}) {
+            Tensor4 got = makeOutput(p);
+            runConv(p, in, ker, got, cfg, threads);
+            std::int64_t differ = 0;
+            for (std::int64_t g = 0; g < p.groups; ++g) {
+                Tensor4 in1 = makeInput(q), ker1 = makeKernel(q),
+                        out1 = makeOutput(q);
+                for (std::int64_t n = 0; n < p.n; ++n)
+                    for (std::int64_t y = 0; y < p.inH(); ++y)
+                        for (std::int64_t x = 0; x < p.inW(); ++x)
+                            in1.at(n, 0, y, x) = in.at(n, g, y, x);
+                for (std::int64_t r = 0; r < p.r; ++r)
+                    for (std::int64_t s = 0; s < p.s; ++s)
+                        ker1.at(0, 0, r, s) = ker.at(g, 0, r, s);
+                runConv(q, in1, ker1, out1, cfg, threads);
+                for (std::int64_t n = 0; n < p.n; ++n)
+                    for (std::int64_t y = 0; y < p.h; ++y)
+                        for (std::int64_t x = 0; x < p.w; ++x)
+                            differ += got.at(n, g, y, x) != out1.at(n, 0, y, x);
+            }
+            EXPECT_EQ(differ, 0) << p.summary() << " threads " << threads;
+        }
+    }
+}
+
 /** Groups far outnumber threads, with chunked L3 tiles: every
- *  (group, chunk) pair joins one fork-join per L3 tile, and the
- *  result is bit-identical at 1 and 3 threads. */
+ *  (block, chunk) pair joins one fork-join per L3 tile (a block is one
+ *  group, or 16 depthwise groups), and the result is bit-identical at
+ *  1 and 3 threads. */
 TEST(ConvExec, ManyGroupsParallelMatchSequential)
 {
     for (const std::int64_t groups : {12, 48}) {

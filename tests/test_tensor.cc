@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "tensor/packing.hh"
 #include "tensor/tensor.hh"
 
@@ -105,6 +108,43 @@ TEST(PackedKernel, ElementAccessor)
     for (std::int64_t k = 0; k < 20; ++k)
         for (std::int64_t c = 0; c < 2; ++c)
             EXPECT_FLOAT_EQ(pk.at(k, c, 1, 0), ker.at(k, c, 1, 0));
+}
+
+/** Packing in row blocks on three threads gives the same bytes as on
+ *  one, and the lanes past K and the trailing padding are zero
+ *  although the buffer is no longer zero-filled first. Every kernel
+ *  is large enough (kMinParallelFloats) to be split. */
+TEST(PackedKernel, ParallelPackMatchesSerial)
+{
+    for (const std::int64_t k : {13, 40, 512}) {
+        Rng rng(static_cast<std::uint64_t>(k));
+        const std::int64_t c = k == 512 ? 256 : k == 40 ? 4096 : 8192;
+        Tensor4 ker(k, c, 3, 3);
+        ker.fillRandom(rng);
+        const PackedKernel serial(ker, 8, globalPool().subWidth(1));
+        const PackedKernel parallel(ker, 8, globalPool().subWidth(3));
+        const PackedKernel plain(ker, 8);
+        ASSERT_EQ(serial.size(), parallel.size());
+        ASSERT_EQ(serial.size(), plain.size());
+        const float *a = serial.row(0, 0, 0), *b = parallel.row(0, 0, 0);
+        EXPECT_EQ(std::memcmp(a, b, sizeof(float) * serial.size()), 0)
+            << "K = " << k;
+        EXPECT_EQ(std::memcmp(a, plain.row(0, 0, 0),
+                              sizeof(float) * serial.size()),
+                  0)
+            << "K = " << k;
+        EXPECT_DOUBLE_EQ(Tensor4::maxAbsDiff(parallel.unpack(), ker), 0.0);
+        const std::int64_t rows = c * 3 * 3;
+        ASSERT_GE(rows * parallel.rowStride(), 4 * kMinParallelFloats);
+        for (std::int64_t j = 0; j < rows; ++j)
+            for (std::int64_t lane = k; lane < parallel.rowStride(); ++lane)
+                ASSERT_EQ(b[j * parallel.rowStride() + lane], 0.0f)
+                    << "K = " << k << " row " << j << " lane " << lane;
+        for (std::int64_t i = rows * parallel.rowStride(); i < parallel.size();
+             ++i)
+            ASSERT_EQ(b[i], 0.0f) << "K = " << k << " padding at " << i;
+        EXPECT_EQ(parallel.size() - rows * parallel.rowStride(), 16);
+    }
 }
 
 } // namespace
